@@ -1,8 +1,11 @@
-// Simulator-core micro-benchmarks: event queue throughput, FIB/ECMP lookup,
+// Simulator-core micro-benchmarks: event queue throughput (shallow, held at
+// fig11/fig14 heap depths, and under timer re-arm churn), FIB/ECMP lookup,
 // queue disciplines, and the end-to-end packet-hop rate through a switch.
 // These bound how much simulated traffic the figure benches can afford.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/device/host_node.h"
 #include "src/device/network.h"
@@ -32,6 +35,84 @@ void BM_EventScheduleAndRun(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EventScheduleAndRun);
+
+// Pseudo-random 0-1023 ns delay from a 64-bit LCG: cheaper than the
+// simulator Rng, so the event core dominates the measurement.
+Time NextDelay(uint64_t* lcg) {
+  *lcg = *lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+  return Time::Nanos(static_cast<int64_t>(*lcg >> 54));
+}
+
+// Hold model at a steady heap depth: `depth` self-rescheduling events, each
+// firing re-arms itself 0-1023 ns ahead, so every pop sifts a heap of that
+// size. 1k and 24k pending match the fig11 and fig14 peak heap depths.
+struct HoldModel {
+  Simulator sim;
+  uint64_t lcg = 1;
+  int64_t budget = 0;
+
+  void Fire() {
+    sim.Schedule(NextDelay(&lcg), [this] { Fire(); });
+    if (--budget == 0) {
+      sim.Stop();
+    }
+  }
+};
+
+void BM_EventHold(benchmark::State& state) {
+  HoldModel m;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    m.sim.Schedule(NextDelay(&m.lcg), [&m] { m.Fire(); });
+  }
+  constexpr int64_t kBatch = 1024;
+  while (state.KeepRunningBatch(kBatch)) {
+    m.budget = kBatch;
+    m.sim.Run();
+  }
+  state.counters["events/s"] =
+      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EventHold)->Arg(1000)->Arg(24000);
+
+// Retransmission-timer churn: 1k flows each send every 0-1023 ns, and every
+// send cancels the flow's pending RTO timer (20 us out, so it never fires)
+// and arms a new one. One iteration = one event = one cancel + two schedules;
+// about 40k cancelled timers sit in the heap until their time comes up.
+struct RearmModel {
+  Simulator sim;
+  std::vector<EventId> timers;
+  uint64_t lcg = 1;
+  int64_t budget = 0;
+  uint64_t timeouts = 0;
+
+  void Send(size_t flow) {
+    sim.Cancel(timers[flow]);
+    timers[flow] = sim.Schedule(Time::Micros(20), [this] { ++timeouts; });
+    sim.Schedule(NextDelay(&lcg), [this, flow] { Send(flow); });
+    if (--budget == 0) {
+      sim.Stop();
+    }
+  }
+};
+
+void BM_TimerRearm(benchmark::State& state) {
+  RearmModel m;
+  m.timers.assign(1000, kInvalidEventId);
+  for (size_t flow = 0; flow < m.timers.size(); ++flow) {
+    m.sim.Schedule(NextDelay(&m.lcg), [&m, flow] { m.Send(flow); });
+  }
+  constexpr int64_t kBatch = 1024;
+  while (state.KeepRunningBatch(kBatch)) {
+    m.budget = kBatch;
+    m.sim.Run();
+  }
+  if (m.timeouts != 0) {
+    state.SkipWithError("an RTO timer fired; the model no longer measures re-arming");
+  }
+  state.counters["events/s"] =
+      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TimerRearm);
 
 void BM_FibCompute(benchmark::State& state) {
   const Topology topo = BuildPaperFatTree();

@@ -24,40 +24,56 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
     validate::Fail("sim.schedule-past", os.str());
   }
   DIBS_CHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
-  const EventId id = next_id_++;
-  PushEvent(Event{when, id, std::move(fn)});
+  DIBS_CHECK(next_seq_ < kMaxEventSeq) << "event sequence space exhausted";
+  if (free_list_stale_) {
+    RebuildFreeList();
+  }
+  size_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    slot = slots_.size();
+    DIBS_CHECK(slot <= kEventSlotMask) << "more than 2^" << kEventSlotBits << " pending events";
+    slots_.emplace_back();
+  }
+  const EventId id = (next_seq_++ << kEventSlotBits) | slot;
+  Occupy(slot, when, id, std::move(fn));
   return id;
 }
 
 void Simulator::Cancel(EventId id) {
-  if (id == kInvalidEventId) {
+  const size_t slot = SlotOf(id);
+  if (id == kInvalidEventId || slot >= slots_.size() || slots_[slot].id != id) {
     return;
   }
-  cancelled_.insert(id);
+  // The closure dies here, after the pool is consistent; its heap key turns
+  // stale and is skipped when it reaches the top.
+  Release(slot);
 }
 
 bool Simulator::RunOneEvent() {
-  while (!queue_.empty()) {
-    // The event must be popped before running because the closure may
-    // schedule more events (mutating the heap).
-    Event ev = PopEvent();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    if (validate::Enabled() && ev.when < now_) {
-      std::ostringstream os;
-      os << "event timestamp regressed: popped event " << ev.id << " at " << ev.when
-         << " behind clock " << now_ << " (events processed: " << events_processed_ << ")";
-      validate::Fail("sim.time-regression", os.str());
-    }
-    DIBS_DCHECK(ev.when >= now_);
-    now_ = ev.when;
-    ++events_processed_;
-    ev.fn();
-    return true;
+  SkipStale();
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
+  const Key key = heap_.front();
+  PopKey();
+  // The closure leaves its slot before running: the body may schedule into
+  // the freed slot or reallocate the pool, and cancelling its own id is then
+  // a no-op.
+  const std::function<void()> fn = Release(SlotOf(key.id));
+  if (validate::Enabled() && key.when < now_) {
+    std::ostringstream os;
+    os << "event timestamp regressed: popped event " << key.id << " at " << key.when
+       << " behind clock " << now_ << " (events processed: " << events_processed_ << ")";
+    validate::Fail("sim.time-regression", os.str());
+  }
+  DIBS_DCHECK(key.when >= now_);
+  now_ = key.when;
+  ++events_processed_;
+  fn();
+  return true;
 }
 
 void Simulator::SetInterruptCheck(std::function<bool()> check, uint64_t check_every) {
@@ -88,22 +104,22 @@ void Simulator::Run() {
 void Simulator::RunUntil(Time until) {
   DIBS_CHECK(until >= now_);
   stopped_ = false;
-  while (!stopped_ && !queue_.empty()) {
+  while (!stopped_ && !heap_.empty()) {
     if (CheckInterrupt()) {
       break;
     }
-    // Peek through cancelled entries without running live ones early.
-    if (cancelled_.count(TopEvent().id) > 0) {
-      cancelled_.erase(TopEvent().id);
-      PopEvent();
+    // Peek through stale keys without running live events early.
+    const Key top = heap_.front();
+    if (!IsLive(top)) {
+      PopKey();
       continue;
     }
-    if (TopEvent().when > until) {
+    if (top.when > until) {
       break;
     }
     if (barrier_interval_ > Time::Zero()) {
-      MaybeFireBarriers(TopEvent().when, until);
-      if (stopped_ || queue_.empty()) {
+      MaybeFireBarriers(top.when, until);
+      if (stopped_ || heap_.empty()) {
         continue;  // re-evaluate loop conditions; hooks never add events
       }
     }
@@ -145,30 +161,52 @@ void Simulator::MaybeFireBarriers(Time next_when, Time until) {
 
 std::vector<std::pair<Time, EventId>> Simulator::PendingEventKeys() const {
   std::vector<std::pair<Time, EventId>> keys;
-  keys.reserve(queue_.size());
-  for (const Event& ev : queue_) {
-    if (cancelled_.count(ev.id) == 0) {
-      keys.emplace_back(ev.when, ev.id);
+  keys.reserve(live_);
+  for (const Key& key : heap_) {
+    if (IsLive(key)) {
+      keys.emplace_back(key.when, key.id);
     }
   }
   return keys;
 }
 
 void Simulator::BeginRestore(Time now, EventId next_id, uint64_t events_processed) {
-  queue_.clear();
-  cancelled_.clear();
+  DIBS_CHECK(next_id != kInvalidEventId && (next_id & kEventSlotMask) == 0)
+      << "checkpointed next id " << next_id << " is not an id epoch (slot bits set)";
+  heap_.clear();
+  slots_.clear();
+  free_.clear();
+  free_list_stale_ = true;
+  live_ = 0;
   now_ = now;
-  next_id_ = next_id;
+  next_seq_ = next_id >> kEventSlotBits;
   events_processed_ = events_processed;
   stopped_ = false;
   interrupted_ = false;
 }
 
 void Simulator::RestoreEventAt(Time when, EventId id, std::function<void()> fn) {
-  DIBS_CHECK(id != kInvalidEventId && id < next_id_)
-      << "restored event id " << id << " outside checkpoint epoch (next id " << next_id_ << ")";
+  DIBS_CHECK(id != kInvalidEventId && id < next_event_id())
+      << "restored event id " << id << " outside checkpoint epoch (next id " << next_event_id()
+      << ")";
   DIBS_CHECK(when >= now_) << "restored event in the past: " << when << " < " << now_;
-  PushEvent(Event{when, id, std::move(fn)});
+  const size_t slot = SlotOf(id);
+  if (slot >= slots_.size()) {
+    slots_.resize(slot + 1);
+  }
+  DIBS_CHECK(slots_[slot].id == kInvalidEventId)
+      << "restored event id " << id << " reuses the live slot of event " << slots_[slot].id;
+  Occupy(slot, when, id, std::move(fn));
+}
+
+void Simulator::RebuildFreeList() {
+  free_.clear();
+  for (size_t slot = slots_.size(); slot-- > 0;) {
+    if (slots_[slot].id == kInvalidEventId) {
+      free_.push_back(static_cast<uint32_t>(slot));
+    }
+  }
+  free_list_stale_ = false;
 }
 
 }  // namespace dibs

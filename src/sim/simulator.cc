@@ -25,9 +25,6 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
   }
   DIBS_CHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
   DIBS_CHECK(next_seq_ < kMaxEventSeq) << "event sequence space exhausted";
-  if (free_list_stale_) {
-    RebuildFreeList();
-  }
   size_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -38,7 +35,10 @@ EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
     slots_.emplace_back();
   }
   const EventId id = (next_seq_++ << kEventSlotBits) | slot;
-  Occupy(slot, when, id, std::move(fn));
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
+  ++live_;
+  PushKey(Key{when, id});
   return id;
 }
 
@@ -117,12 +117,6 @@ void Simulator::RunUntil(Time until) {
     if (top.when > until) {
       break;
     }
-    if (barrier_interval_ > Time::Zero()) {
-      MaybeFireBarriers(top.when, until);
-      if (stopped_ || heap_.empty()) {
-        continue;  // re-evaluate loop conditions; hooks never add events
-      }
-    }
     RunOneEvent();
   }
   // An interrupted run leaves Now() at the last executed event rather than
@@ -130,83 +124,6 @@ void Simulator::RunUntil(Time until) {
   if (!stopped_ && !interrupted_ && now_ < until) {
     now_ = until;
   }
-}
-
-void Simulator::SetCheckpointBarrier(Time interval, std::function<void()> hook) {
-  barrier_interval_ = interval;
-  barrier_hook_ = std::move(hook);
-  if (interval <= Time::Zero()) {
-    barrier_interval_ = Time();
-    barrier_hook_ = nullptr;
-    return;
-  }
-  // First barrier strictly after the current clock, on the interval grid.
-  // After a restore Now() sits exactly on a barrier, so "strictly after"
-  // also keeps a resumed run from re-writing the checkpoint it came from.
-  const int64_t periods = now_.nanos() / interval.nanos();
-  next_barrier_ = Time::Nanos((periods + 1) * interval.nanos());
-}
-
-void Simulator::MaybeFireBarriers(Time next_when, Time until) {
-  while (barrier_hook_ && next_barrier_ <= next_when && next_barrier_ <= until) {
-    if (next_barrier_ > now_) {
-      // Invisible clock hop, same as RunUntil's trailing `now_ = until`: no
-      // event runs between here and the next pop, so nothing observes it.
-      now_ = next_barrier_;
-    }
-    barrier_hook_();
-    next_barrier_ = next_barrier_ + barrier_interval_;
-  }
-}
-
-std::vector<std::pair<Time, EventId>> Simulator::PendingEventKeys() const {
-  std::vector<std::pair<Time, EventId>> keys;
-  keys.reserve(live_);
-  for (const Key& key : heap_) {
-    if (IsLive(key)) {
-      keys.emplace_back(key.when, key.id);
-    }
-  }
-  return keys;
-}
-
-void Simulator::BeginRestore(Time now, EventId next_id, uint64_t events_processed) {
-  DIBS_CHECK(next_id != kInvalidEventId && (next_id & kEventSlotMask) == 0)
-      << "checkpointed next id " << next_id << " is not an id epoch (slot bits set)";
-  heap_.clear();
-  slots_.clear();
-  free_.clear();
-  free_list_stale_ = true;
-  live_ = 0;
-  now_ = now;
-  next_seq_ = next_id >> kEventSlotBits;
-  events_processed_ = events_processed;
-  stopped_ = false;
-  interrupted_ = false;
-}
-
-void Simulator::RestoreEventAt(Time when, EventId id, std::function<void()> fn) {
-  DIBS_CHECK(id != kInvalidEventId && id < next_event_id())
-      << "restored event id " << id << " outside checkpoint epoch (next id " << next_event_id()
-      << ")";
-  DIBS_CHECK(when >= now_) << "restored event in the past: " << when << " < " << now_;
-  const size_t slot = SlotOf(id);
-  if (slot >= slots_.size()) {
-    slots_.resize(slot + 1);
-  }
-  DIBS_CHECK(slots_[slot].id == kInvalidEventId)
-      << "restored event id " << id << " reuses the live slot of event " << slots_[slot].id;
-  Occupy(slot, when, id, std::move(fn));
-}
-
-void Simulator::RebuildFreeList() {
-  free_.clear();
-  for (size_t slot = slots_.size(); slot-- > 0;) {
-    if (slots_[slot].id == kInvalidEventId) {
-      free_.push_back(static_cast<uint32_t>(slot));
-    }
-  }
-  free_list_stale_ = false;
 }
 
 }  // namespace dibs

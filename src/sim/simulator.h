@@ -106,48 +106,12 @@ class Simulator {
   // cancelled (the event running now is no longer pending).
   size_t pending_events() const { return live_; }
 
-  // --- Checkpoint/restore support (src/ckpt) ---
-  //
-  // Events are closures and cannot be serialized; the checkpoint subsystem
-  // instead re-materializes them from component-owned descriptors. These
-  // hooks give it the three things that requires: a quiescent point between
-  // events to snapshot at, the exact (when, id) keys of every live pending
-  // event (so component coverage can be cross-checked), and a way to
-  // re-insert an event under its original id so FIFO tie-breaking — and with
-  // it the entire event order — survives a restore byte-for-byte.
-
-  // Installs a barrier fired from RunUntil between events: whenever the next
-  // live event's timestamp reaches or crosses a multiple of `interval`, the
-  // clock is advanced to the barrier time (mirroring RunUntil's end-of-run
-  // behavior; no event observes the intermediate clock) and `hook` runs.
-  // The hook must not schedule events or draw randomness. Pass a zero
-  // interval to disarm.
-  void SetCheckpointBarrier(Time interval, std::function<void()> hook);
-
-  // (when, id) of every live (non-cancelled) pending event, unordered.
-  std::vector<std::pair<Time, EventId>> PendingEventKeys() const;
-
-  // Resets the clock, id counter, and event count to checkpointed values and
-  // clears the queue; RestoreEventAt calls then repopulate it. `next_id`
-  // must be a value next_event_id() returned (its slot bits are zero).
-  void BeginRestore(Time now, EventId next_id, uint64_t events_processed);
-
-  // Re-inserts an event captured in a checkpoint under its original id, in
-  // its original slot. `id` must come from the epoch being restored (below
-  // next_id), its slot must not already hold a restored event (ids pending
-  // at one snapshot always have distinct slots), and `when` must not be in
-  // the past.
-  void RestoreEventAt(Time when, EventId id, std::function<void()> fn);
-
-  // The id epoch a checkpoint must restore: the next Schedule/ScheduleAt
-  // call is issued this value's sequence (slot bits zero here; the issued
-  // id carries whichever slot the pool hands out).
+  // Every id issued so far is below this value (the next Schedule/ScheduleAt
+  // call is issued this value's sequence; its slot bits are zero here).
   EventId next_event_id() const { return next_seq_ << kEventSlotBits; }
 
  private:
-  // Heap key: the closure stays in its slot, so a sift moves 16 bytes. The
-  // heap is a plain vector under std::push_heap/pop_heap (not a
-  // std::priority_queue) so PendingEventKeys can walk it, skipping stale keys.
+  // Heap key: the closure stays in its slot, so a sift moves 16 bytes.
   struct Key {
     Time when;
     EventId id;
@@ -172,14 +136,6 @@ class Simulator {
 
   static size_t SlotOf(EventId id) { return static_cast<size_t>(id & kEventSlotMask); }
   bool IsLive(const Key& key) const { return slots_[SlotOf(key.id)].id == key.id; }
-
-  // Puts event `id` into the vacant `slot` and its key on the heap.
-  void Occupy(size_t slot, Time when, EventId id, std::function<void()>&& fn) {
-    slots_[slot].id = id;
-    slots_[slot].fn = std::move(fn);
-    ++live_;
-    PushKey(Key{when, id});
-  }
 
   // Vacates `slot` and hands back its closure, so the caller can run or drop
   // it after the pool is consistent again (a closure's destructor or body
@@ -210,19 +166,13 @@ class Simulator {
     }
   }
 
-  // Refills the free list with every vacant slot after a restore, lowest
-  // index first out.
-  void RebuildFreeList();
-
   // Pops and runs the earliest live event. Returns false when none is left.
   bool RunOneEvent();
 
   // Applies the event budget / interrupt check; true when the run must stop.
   bool CheckInterrupt();
 
-  // Fires any checkpoint barriers due strictly before the next live event at
-  // `next_when` (and no later than `until`).
-  void MaybeFireBarriers(Time next_when, Time until);
+  friend class SimulatorTestPeer;  // tests/sim: reaches the sequence cap directly
 
   Time now_;
   uint64_t next_seq_ = 1;  // sequence 0 is never issued, so neither is id 0
@@ -235,11 +185,7 @@ class Simulator {
   std::vector<Key> heap_;         // binary heap under KeyLater; may hold stale keys
   std::vector<Slot> slots_;       // closure pool, indexed by SlotOf(id)
   std::vector<uint32_t> free_;    // vacant slot indices, LIFO
-  bool free_list_stale_ = false;  // set by BeginRestore until the next Schedule
   size_t live_ = 0;               // occupied slots == pending events
-  Time barrier_interval_;         // zero = no checkpoint barrier
-  Time next_barrier_;             // first unfired barrier time
-  std::function<void()> barrier_hook_;
   Rng rng_;
 };
 

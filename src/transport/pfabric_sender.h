@@ -10,13 +10,10 @@
 #define SRC_TRANSPORT_PFABRIC_SENDER_H_
 
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/transport/flow.h"
 #include "src/transport/tcp_config.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -38,11 +35,6 @@ class PfabricSender {
   uint32_t retransmits() const { return retransmits_; }
   uint32_t timeouts() const { return timeouts_; }
   bool done() const { return done_; }
-
-  // --- Checkpoint support (src/ckpt), aggregated by the FlowManager ---
-  void CkptSave(json::Value* out) const;
-  void CkptRestore(const json::Value& in);
-  void CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const;
 
  private:
   void TrySend();
@@ -66,7 +58,6 @@ class PfabricSender {
   uint32_t consecutive_timeouts_ = 0;
 
   EventId rto_timer_ = kInvalidEventId;
-  Time rto_deadline_;  // absolute firing time of rto_timer_ (for checkpoints)
   uint32_t retransmits_ = 0;
   uint32_t timeouts_ = 0;
   bool done_ = false;

@@ -18,13 +18,11 @@
 #define SRC_TRANSPORT_TCP_SENDER_H_
 
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/transport/flow.h"
 #include "src/transport/tcp_config.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -58,14 +56,6 @@ class TcpSender {
   uint64_t marked_acks() const { return marked_acks_; }
   bool done() const { return done_; }
   Time current_rto() const;
-
-  // --- Checkpoint support (src/ckpt), aggregated by the FlowManager ---
-  //
-  // Serializes the full congestion/RTT/recovery state plus the RTO timer as
-  // a (deadline, id) descriptor; restore re-arms it under the original id.
-  void CkptSave(json::Value* out) const;
-  void CkptRestore(const json::Value& in);
-  void CkptPendingEvents(std::vector<std::pair<Time, EventId>>* out) const;
 
  private:
   void TrySend();
@@ -104,7 +94,6 @@ class TcpSender {
   Time rttvar_;
   int rto_backoff_ = 0;  // exponent, reset on new data ACKed
   EventId rto_timer_ = kInvalidEventId;
-  Time rto_deadline_;    // absolute firing time of rto_timer_ (for checkpoints)
 
   // Per-segment bookkeeping for Karn's rule / RTT sampling.
   std::vector<Time> first_sent_;

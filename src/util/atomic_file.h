@@ -1,5 +1,5 @@
-// Durable file I/O for harness artifacts (journals, corpus entries,
-// checkpoints, crash dumps).
+// Durable file I/O for harness artifacts (journals, corpus entries, crash
+// dumps).
 //
 // Two primitives cover every artifact the harness persists:
 //

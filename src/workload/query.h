@@ -11,14 +11,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
-#include <vector>
 
-#include "src/ckpt/checkpointable.h"
 #include "src/sim/simulator.h"
 #include "src/transport/flow_manager.h"
-#include "src/util/json.h"
 
 namespace dibs {
 
@@ -37,7 +33,7 @@ struct QueryResult {
 
 using QueryCompletionCallback = std::function<void(const QueryResult&)>;
 
-class QueryWorkload : public ckpt::Checkpointable {
+class QueryWorkload {
  public:
   struct Options {
     double qps = 300;               // Table 2 default; §5.7 pushes to 15000
@@ -59,17 +55,6 @@ class QueryWorkload : public ckpt::Checkpointable {
   uint64_t queries_launched() const { return queries_launched_; }
   uint64_t queries_completed() const { return queries_completed_; }
 
-  // Re-materializes the per-response completion closure for a restored query
-  // flow (FlowManager::CompletionResolver path); nullptr when the flow's
-  // query already completed. Must be restored BEFORE the FlowManager so the
-  // flow->query map is populated.
-  FlowCompletionCallback ResolveFlowCompletion(const FlowSpec& spec);
-
-  // --- Checkpoint support (src/ckpt) ---
-  void CkptSave(json::Value* out) const override;
-  void CkptRestore(const json::Value& in) override;
-  void CkptPendingEvents(std::vector<ckpt::EventKey>* out) const override;
-
  private:
   struct PendingQuery {
     QueryResult result;
@@ -78,7 +63,6 @@ class QueryWorkload : public ckpt::Checkpointable {
 
   void LaunchOne();
   void ScheduleNext();
-  void OnArrival();
   void OnResponseComplete(uint64_t qid, const FlowResult& r);
 
   Network* network_;
@@ -90,12 +74,6 @@ class QueryWorkload : public ckpt::Checkpointable {
   uint64_t queries_launched_ = 0;
   uint64_t queries_completed_ = 0;
   std::unordered_map<uint64_t, PendingQuery> pending_;
-  // Maps each in-flight response flow to its query, so checkpoint restore
-  // can rebuild the completion closures (ordered: serialized in map order).
-  std::map<FlowId, uint64_t> flow_query_;
-  // Next query-arrival event, as a re-armable descriptor.
-  Time arrival_at_;
-  EventId arrival_id_ = kInvalidEventId;
 };
 
 }  // namespace dibs

@@ -86,7 +86,7 @@ def main():
         return 77
 
     fixtures = sorted(glob.glob(os.path.join(FIXTURES, "*.cc")))
-    check(len(fixtures) == 12, "found all 12 fixtures (got %d)" % len(fixtures))
+    check(len(fixtures) == 10, "found all 10 fixtures (got %d)" % len(fixtures))
 
     with tempfile.TemporaryDirectory(prefix="dibs-analyzer-test.") as td:
         ccpath = os.path.join(td, "compile_commands.json")

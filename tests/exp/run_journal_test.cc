@@ -228,5 +228,44 @@ TEST(RunJournalTest, WithoutResumeTruncatesExistingJournal) {
   std::remove(path.c_str());
 }
 
+// Older journals carry one more header field after the fingerprint, naming
+// the directory of the removed in-run snapshot feature. Header fields other
+// than the marker and fingerprint are informational, so such a journal must
+// still resume.
+TEST(RunJournalTest, ResumesJournalWithLegacyHeaderField) {
+  const std::string path = TempPath("legacy_header");
+  const uint64_t fp = 0x5eed;
+  {
+    RunJournal journal;
+    journal.Open(path, "journal", 2, fp, false, nullptr);
+  }
+  std::string header;
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(std::getline(in, header));
+  }
+  ASSERT_EQ(header.back(), '}');
+  header.insert(header.size() - 1, ",\"ckpt\":\"/tmp/dibs_snapshots\"");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << header << "\n" << EncodeRunRecord(SampleRecord(0)) << "\n";
+  }
+
+  std::map<int, RunRecord> resumed;
+  {
+    RunJournal journal;
+    journal.Open(path, "journal", 2, fp, /*resume=*/true, &resumed);
+    ASSERT_EQ(resumed.size(), 1u);
+    EXPECT_EQ(resumed.at(0).result.drops, 100u);
+    journal.Append(SampleRecord(1));
+  }
+  std::map<int, RunRecord> again;
+  RunJournal journal;
+  journal.Open(path, "journal", 2, fp, true, &again);
+  EXPECT_EQ(again.size(), 2u);
+  journal.Close();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace dibs

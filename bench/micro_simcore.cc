@@ -12,6 +12,8 @@
 #include "src/net/droptail_queue.h"
 #include "src/net/pfabric_queue.h"
 #include "src/sim/simulator.h"
+#include "src/stats/detour_recorder.h"
+#include "src/stats/guard_recorder.h"
 #include "src/topo/builders.h"
 #include "src/topo/routing.h"
 #include "src/trace/flight_recorder.h"
@@ -165,11 +167,11 @@ void BM_PfabricEnqueueDequeue(benchmark::State& state) {
 }
 BENCHMARK(BM_PfabricEnqueueDequeue);
 
-void BM_SwitchPacketHop(benchmark::State& state) {
-  // End-to-end cost of pushing one packet across the fat-tree (5 switch
-  // hops), amortized: events per packet-hop including transmission events.
-  Simulator sim;
-  Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
+// End-to-end cost of pushing one packet across the fat-tree (5 switch hops),
+// amortized: events per packet-hop including transmission events. Every
+// BM_SwitchPacketHop* variant runs this loop; they differ only in which
+// observers are registered on `net`.
+void RunPacketHops(benchmark::State& state, Simulator& sim, Network& net) {
   uint64_t batch = 0;
   for (auto _ : state) {
     Packet p;
@@ -188,36 +190,40 @@ void BM_SwitchPacketHop(benchmark::State& state) {
   state.counters["pkts/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
+
+void BM_SwitchPacketHop(benchmark::State& state) {
+  // No observers: the floor every hook pays when nothing subscribes.
+  Simulator sim;
+  Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
+  RunPacketHops(state, sim, net);
+}
 BENCHMARK(BM_SwitchPacketHop);
 
+void BM_SwitchPacketHopRecorders(benchmark::State& state) {
+  // The two recorders every Scenario registers: the per-hop cost of the
+  // observer hooks (most of them no-ops for these two) per attached observer.
+  Simulator sim;
+  Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
+  DetourRecorder detours;
+  GuardRecorder guard;
+  net.AddObserver(&detours);
+  net.AddObserver(&guard);
+  RunPacketHops(state, sim, net);
+}
+BENCHMARK(BM_SwitchPacketHopRecorders);
+
 void BM_SwitchPacketHopTraceFiltered(benchmark::State& state) {
-  // Same hop loop with a trace bus attached but filtering everything out
+  // Same hop loop with a trace bus registered but filtering everything out
   // (sample=0): the cost of *armed* tracing that emits nothing. This is the
   // price paid per hook call when a user traces one flow out of millions.
   Simulator sim;
   Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
-  TraceBus bus;
+  TraceBus bus(&net.topology());
   TraceFilter filter;
   filter.sample = 0.0;
   bus.SetFilter(filter);
-  net.AttachTraceBus(&bus);
-  uint64_t batch = 0;
-  for (auto _ : state) {
-    Packet p;
-    p.uid = net.NextPacketUid();
-    p.src = static_cast<HostId>(batch % 64);
-    p.dst = static_cast<HostId>(127 - batch % 64);
-    p.size_bytes = 1500;
-    p.ttl = 64;
-    p.flow = batch;
-    net.host(p.src).Send(std::move(p));
-    if (++batch % 32 == 0) {
-      sim.Run();
-    }
-  }
-  sim.Run();
-  state.counters["pkts/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  net.AddObserver(&bus);
+  RunPacketHops(state, sim, net);
 }
 BENCHMARK(BM_SwitchPacketHopTraceFiltered);
 
@@ -226,28 +232,12 @@ void BM_SwitchPacketHopTraceRing(benchmark::State& state) {
   // filter): the in-memory cost ceiling, with no file I/O on the hot path.
   Simulator sim;
   Network net(&sim, BuildPaperFatTree(), NetworkConfig{});
-  TraceBus bus;
+  TraceBus bus(&net.topology());
   FlightRecorder ring(/*capacity=*/65536);
   bus.AddSink(&ring);
-  net.AttachTraceBus(&bus);
-  uint64_t batch = 0;
-  for (auto _ : state) {
-    Packet p;
-    p.uid = net.NextPacketUid();
-    p.src = static_cast<HostId>(batch % 64);
-    p.dst = static_cast<HostId>(127 - batch % 64);
-    p.size_bytes = 1500;
-    p.ttl = 64;
-    p.flow = batch;
-    net.host(p.src).Send(std::move(p));
-    if (++batch % 32 == 0) {
-      sim.Run();
-    }
-  }
-  sim.Run();
+  net.AddObserver(&bus);
+  RunPacketHops(state, sim, net);
   benchmark::DoNotOptimize(ring.total_events());
-  state.counters["pkts/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SwitchPacketHopTraceRing);
 

@@ -36,7 +36,9 @@
 #                           a validation throw fails is fatal), on the
 #                           tier-1 build tree.
 #   9. trace smoke        — fig11 again with DIBS_TRACE=1: tables must be
-#                           byte-identical to the untraced stage-8 run, every
+#                           byte-identical to the untraced stage-8 run (and
+#                           resilience's traced tables to its untraced
+#                           ones, covering the fault hook paths), every
 #                           per-run trace JSONL must pass `trace_tool
 #                           summarize`, the Perfetto export must be valid
 #                           JSON, and the same traced bench must run clean
@@ -165,6 +167,12 @@ DIBS_VALIDATE=1 DIBS_REQUIRE_OK=1 DIBS_BENCH_DURATION_MS=50 \
   DIBS_TRACE=1 DIBS_TRACE_JSONL="$TR_TMP/fig11.jsonl" \
   ./build/bench/fig11_incast_degree > "$TR_TMP/fig11_traced.txt"
 diff -u "$CI_TMP/fig11_plain.txt" "$TR_TMP/fig11_traced.txt"
+# fig11 has no faults; the resilience bench runs the lossy-link, link-flap and
+# switch-crash hook paths traced, and its tables must not move either.
+cmake --build build -j"$JOBS" --target resilience
+DIBS_BENCH_DURATION_MS=50 ./build/bench/resilience > "$TR_TMP/res_plain.txt"
+DIBS_BENCH_DURATION_MS=50 DIBS_TRACE=1 ./build/bench/resilience > "$TR_TMP/res_traced.txt"
+diff -u "$TR_TMP/res_plain.txt" "$TR_TMP/res_traced.txt"
 echo "trace: tables byte-identical with tracing on"
 # Every per-run trace must decode and summarize (summarize exits nonzero on
 # an empty or unopenable trace), and the Perfetto export must be valid JSON.

@@ -4,7 +4,7 @@
 // exactly what the paper's Figure 1 visualizes.
 //
 // Doubles as the minimal manual-wiring example for the trace subsystem: a
-// TraceBus feeding a JourneyBuilder, attached straight to the Network —
+// TraceBus feeding a JourneyBuilder, registered straight on the Network —
 // no Scenario, no env vars.
 
 #include <iostream>
@@ -32,10 +32,10 @@ int main() {
   FlowManager flows(&net, TransportKind::kDctcp, TcpConfig::DibsDefault());
 
   // Reconstruct every packet's journey from the event stream.
-  TraceBus bus;
+  TraceBus bus(&net.topology());
   JourneyBuilder journeys;
   bus.AddSink(&journeys);
-  net.AttachTraceBus(&bus);
+  net.AddObserver(&bus);
 
   QueryWorkload::Options q;
   q.qps = 50;

@@ -86,6 +86,9 @@ void InvariantChecker::OnDetour(int node, uint16_t detour_port, const Packet& p,
 }
 
 void InvariantChecker::OnDrop(int node, const Packet& p, DropReason reason, Time at) {
+  if (reason == DropReason::kFaultLossy) {
+    LeaveWire(p);  // lost in flight, tracked or not
+  }
   PacketState* state = Observe(p, "drop");
   if (state == nullptr) {
     return;
@@ -115,7 +118,7 @@ void InvariantChecker::OnHostDeliver(HostId host, const Packet& p, Time at) {
   ++delivered_;
 }
 
-void InvariantChecker::OnEvicted(const Packet& p) {
+void InvariantChecker::OnEvict(int node, const Packet& p, Time at) {
   PacketState* state = Observe(p, "pfabric-evict");
   if (state == nullptr) {
     return;
@@ -124,7 +127,8 @@ void InvariantChecker::OnEvicted(const Packet& p) {
   ++dropped_;
 }
 
-void InvariantChecker::OnWireEnter(const Packet& p, bool link_up) {
+void InvariantChecker::OnWireEnter(int node, uint16_t port, const Packet& p, bool link_up,
+                                   Time at) {
   if (!link_up) {
     validate::Fail("ledger.dead-port-delivery",
                    "a port transmitted a packet while its link was down — down ports "
@@ -134,10 +138,14 @@ void InvariantChecker::OnWireEnter(const Packet& p, bool link_up) {
   ++on_wire_;
 }
 
-void InvariantChecker::OnWireExit(const Packet& p) {
+void InvariantChecker::OnWireExit(int node, uint16_t port, const Packet& p, Time at) {
+  LeaveWire(p);
+}
+
+void InvariantChecker::LeaveWire(const Packet& p) {
   if (on_wire_ == 0) {
     validate::Fail("ledger.wire-underflow",
-                   "a packet landed off the wire that was never transmitted; " +
+                   "a packet left the wire that was never transmitted; " +
                        DescribePacket(p));
   }
   --on_wire_;

@@ -51,18 +51,15 @@ class InvariantChecker : public NetworkObserver {
   void OnHostDeliver(HostId host, const Packet& p, Time at) override;
 
   // A pFabric queue destroyed `p` on overflow (arriving loser or evicted
-  // worst packet) — a terminal state the drop path never sees. The Network
-  // wires PfabricQueue::SetEvictionHandler here when validation is on.
-  void OnEvicted(const Packet& p);
+  // worst packet) — a terminal state the drop path never sees.
+  void OnEvict(int node, const Packet& p, Time at) override;
 
-  // Wire accounting: a port calls these when a packet leaves its transmitter
-  // and when it lands at the peer, so CheckBalanced can account for packets
-  // that are neither queued nor terminal. `link_up` is the transmitting
-  // port's link state at transmission time: a port whose link is down must
-  // never put a packet on the wire (the fault model drains and blackholes
-  // such ports), so transmitting while down trips ledger.dead-port-delivery.
-  void OnWireEnter(const Packet& p, bool link_up = true);
-  void OnWireExit(const Packet& p);
+  // Wire accounting for CheckBalanced: a packet is on the wire from
+  // OnWireEnter to OnWireExit or to its kFaultLossy OnDrop. A down port must
+  // never transmit (the fault model drains and blackholes such ports), so
+  // `link_up` false trips ledger.dead-port-delivery.
+  void OnWireEnter(int node, uint16_t port, const Packet& p, bool link_up, Time at) override;
+  void OnWireExit(int node, uint16_t port, const Packet& p, Time at) override;
 
   // Throws unless injected == delivered + dropped exactly (no packet still in
   // flight, none lost without a terminal event). Call only when the
@@ -100,6 +97,8 @@ class InvariantChecker : public NetworkObserver {
   // (which bump untracked_events_). Applies the TTL/detour monotonicity
   // checks shared by every observation point.
   PacketState* Observe(const Packet& p, const char* where);
+
+  void LeaveWire(const Packet& p);  // underflow trips ledger.wire-underflow
 
   [[noreturn]] void FailOn(const char* invariant, const Packet& p,
                            const std::string& detail) const;

@@ -20,7 +20,6 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
       fib_(Fib::Compute(topo_)),
       link_admin_up_(static_cast<size_t>(topo_.num_links()), true),
       node_up_(static_cast<size_t>(topo_.num_nodes()), true),
-      link_effective_up_(static_cast<size_t>(topo_.num_links()), true),
       policy_(MakeDetourPolicy(config_.detour_policy)) {
   DIBS_CHECK(!(config_.pfabric_queues && config_.use_shared_buffer))
       << "pFabric and shared-buffer modes are mutually exclusive";
@@ -65,34 +64,18 @@ Network::Network(Simulator* sim, Topology topology, NetworkConfig config)
         queue = std::make_unique<DropTailQueue>(config_.host_queue_packets, /*mark=*/0);
       } else {
         queue = MakeSwitchQueue(pools_[static_cast<size_t>(n)].get());
-        // pFabric destroys packets inside Enqueue (eviction); the ledger must
-        // hear about those terminal states or conservation would not balance,
-        // and the trace must record them or journeys would dangle. Evictions
-        // stay out of NotifyDrop (aggregate drop tables keep their shape) —
-        // they surface only as trace kDrop events with the eviction sentinel.
+        // pFabric destroys packets inside Enqueue (eviction). The ledger and
+        // the trace must hear about those terminal states, but evictions stay
+        // out of NotifyDrop so the aggregate drop tables keep their shape.
         if (config_.pfabric_queues) {
-          static_cast<PfabricQueue*>(queue.get())->SetEvictionHandler([this, n](Packet&& dead) {
-            if (invariant_checker_ != nullptr) {
-              invariant_checker_->OnEvicted(dead);
-            }
-            if (trace_ != nullptr) {
-              TraceEvent ev = MakeTracePacketEvent(TraceEventType::kDrop, sim_->Now(), n,
-                                                   /*port=*/-1, dead);
-              ev.drop_reason = kTraceEvictionReason;
-              trace_->Emit(ev);
-            }
-          });
+          static_cast<PfabricQueue*>(queue.get())
+              ->SetEvictionHandler(
+                  [this, n](const Packet& dead) { Fan(&NetworkObserver::OnEvict, n, dead); });
         }
       }
       auto port = std::make_unique<Port>(sim_, nodes_[static_cast<size_t>(n)].get(), i,
                                          std::move(queue), link.rate_bps, link.delay);
-      port->AttachInvariantChecker(invariant_checker_.get());
       port->AttachNetwork(this);
-      // Fault-killed packets (drained queues, blackholed enqueues, lossy
-      // links) reach their terminal state through the normal drop fan-out,
-      // attributed to the node that owns the port.
-      port->SetFaultDropHandler(
-          [this, n](Packet&& dead, DropReason reason) { NotifyDrop(n, dead, reason); });
       if (tn.kind == NodeKind::kHost) {
         static_cast<HostNode*>(nodes_[static_cast<size_t>(n)].get())->SetPort(std::move(port));
         DIBS_CHECK_EQ(port_refs.size(), 1u) << "hosts must have exactly one NIC";
@@ -173,66 +156,6 @@ const SwitchNode& Network::switch_at(int node_id) const {
   return *static_cast<const SwitchNode*>(nodes_[static_cast<size_t>(node_id)].get());
 }
 
-void Network::NotifyHostSend(HostId host, const Packet& p) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnHostSend(host, p, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    trace_->Emit(MakeTracePacketEvent(TraceEventType::kHostSend, sim_->Now(),
-                                      topo_.host_node(host), /*port=*/-1, p));
-  }
-}
-
-void Network::NotifyEnqueue(int node, uint16_t port, size_t queue_depth) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnEnqueue(node, port, queue_depth, sim_->Now());
-  }
-}
-
-void Network::NotifyDequeue(int node, uint16_t port, const Packet& p, size_t queue_depth) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnDequeue(node, port, p, queue_depth, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    TraceEvent ev = MakeTracePacketEvent(TraceEventType::kDequeue, sim_->Now(), node, port, p);
-    ev.queue_depth = static_cast<int32_t>(queue_depth);
-    trace_->Emit(ev);
-  }
-}
-
-void Network::NotifyGuardTransition(int node, GuardState from, GuardState to) {
-  for (NetworkObserver* obs : observers_) {
-    obs->OnGuardTransition(node, from, to, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    TraceEvent ev;
-    ev.at = sim_->Now();
-    ev.type = TraceEventType::kGuardTransition;
-    ev.node = node;
-    // Not a packet event: from/to states ride the numeric port/queue_depth
-    // fields (same convention as kLinkUp carrying the link id in `port`).
-    ev.port = static_cast<int32_t>(from);
-    ev.queue_depth = static_cast<int32_t>(to);
-    trace_->Emit(ev);
-  }
-}
-
-void Network::TraceTransportEvent(TraceEventType type, HostId host, FlowId flow, uint32_t seq) {
-  if (trace_ == nullptr) {
-    return;
-  }
-  TraceEvent ev;
-  ev.at = sim_->Now();
-  ev.type = type;
-  ev.node = topo_.host_node(host);
-  ev.flow = flow;
-  ev.src = host;
-  ev.seq = seq;
-  // No packet identity: these are sender-state events. uid stays 0 so the
-  // filter treats them as control events on the host's node.
-  trace_->Emit(ev);
-}
-
 uint64_t Network::TotalBufferedPackets() const {
   uint64_t total = 0;
   for (size_t n = 0; n < nodes_.size(); ++n) {
@@ -244,28 +167,6 @@ uint64_t Network::TotalBufferedPackets() const {
     }
   }
   return total;
-}
-
-void Network::NotifyDetour(int node, uint16_t port, const Packet& p) {
-  ++total_detours_;
-  for (NetworkObserver* obs : observers_) {
-    obs->OnDetour(node, port, p, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    trace_->Emit(MakeTracePacketEvent(TraceEventType::kDetour, sim_->Now(), node, port, p));
-  }
-}
-
-void Network::NotifyDrop(int node, const Packet& p, DropReason reason) {
-  ++total_drops_;
-  for (NetworkObserver* obs : observers_) {
-    obs->OnDrop(node, p, reason, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    TraceEvent ev = MakeTracePacketEvent(TraceEventType::kDrop, sim_->Now(), node, /*port=*/-1, p);
-    ev.drop_reason = static_cast<uint8_t>(reason);
-    trace_->Emit(ev);
-  }
 }
 
 Port& Network::PortAt(int node_id, uint16_t port_index) {
@@ -290,19 +191,13 @@ uint16_t Network::PortIndexOf(int node_id, int link) const {
 
 void Network::ApplyLinkEffective(int link) {
   const TopoLink& l = topo_.link(link);
-  const bool up = link_admin_up_[static_cast<size_t>(link)] &&
-                  node_up_[static_cast<size_t>(l.node_a)] &&
-                  node_up_[static_cast<size_t>(l.node_b)];
-  if (trace_ != nullptr && link_effective_up_[static_cast<size_t>(link)] != up) {
-    TraceEvent ev;
-    ev.at = sim_->Now();
-    ev.type = up ? TraceEventType::kLinkUp : TraceEventType::kLinkDown;
-    ev.port = link;  // link-scoped: port carries the link id, node stays -1
-    trace_->Emit(ev);
-  }
-  link_effective_up_[static_cast<size_t>(link)] = up;
+  const bool up = LinkUp(link);
   const uint16_t port_a = PortIndexOf(l.node_a, link);
   const uint16_t port_b = PortIndexOf(l.node_b, link);
+  // Both ports carry the last applied effective state; report only edges.
+  if (PortAt(l.node_a, port_a).link_up() != up) {
+    Fan(&NetworkObserver::OnLinkState, link, up);
+  }
   PortAt(l.node_a, port_a).SetLinkUp(up);
   PortAt(l.node_b, port_b).SetLinkUp(up);
   // Mask (or restore) the link in the live FIB so routing and ECMP only ever
@@ -326,13 +221,7 @@ void Network::SetSwitchOperational(int node_id, bool up) {
     return;
   }
   node_up_[static_cast<size_t>(node_id)] = up;
-  if (trace_ != nullptr) {
-    TraceEvent ev;
-    ev.at = sim_->Now();
-    ev.type = up ? TraceEventType::kSwitchUp : TraceEventType::kSwitchDown;
-    ev.node = node_id;
-    trace_->Emit(ev);
-  }
+  Fan(&NetworkObserver::OnSwitchState, node_id, up);
   switch_at(node_id).SetCrashed(!up);
   // Every adjacent link's effective state may have changed. Crashing drains
   // the switch's own queues (its ports go down); restarting only revives
@@ -359,17 +248,6 @@ bool Network::LinkUp(int link) const {
 
 bool Network::SwitchOperational(int node_id) const {
   return node_up_[static_cast<size_t>(node_id)];
-}
-
-void Network::NotifyHostDeliver(HostId host, const Packet& p) {
-  ++total_delivered_;
-  for (NetworkObserver* obs : observers_) {
-    obs->OnHostDeliver(host, p, sim_->Now());
-  }
-  if (trace_ != nullptr) {
-    trace_->Emit(MakeTracePacketEvent(TraceEventType::kHostDeliver, sim_->Now(),
-                                      topo_.host_node(host), /*port=*/-1, p));
-  }
 }
 
 }  // namespace dibs

@@ -18,7 +18,6 @@
 #include "src/sim/simulator.h"
 #include "src/topo/routing.h"
 #include "src/topo/topology.h"
-#include "src/trace/trace_bus.h"
 
 namespace dibs {
 
@@ -104,41 +103,55 @@ class Network {
 
   uint64_t NextPacketUid() { return next_uid_++; }
 
+  // Not owned; register before traffic starts.
   void AddObserver(NetworkObserver* observer) { observers_.push_back(observer); }
 
   // Observer fan-out, called from the forwarding path.
-  void NotifyHostSend(HostId host, const Packet& p);
-  void NotifyDetour(int node, uint16_t port, const Packet& p);
-  void NotifyDrop(int node, const Packet& p, DropReason reason);
-  void NotifyHostDeliver(HostId host, const Packet& p);
-  void NotifyEnqueue(int node, uint16_t port, size_t queue_depth);
-  void NotifyDequeue(int node, uint16_t port, const Packet& p, size_t queue_depth);
-  void NotifyGuardTransition(int node, GuardState from, GuardState to);
+  void NotifyHostSend(HostId host, const Packet& p) { Fan(&NetworkObserver::OnHostSend, host, p); }
+  void NotifyDetour(int node, uint16_t port, const Packet& p) {
+    ++total_detours_;
+    Fan(&NetworkObserver::OnDetour, node, port, p);
+  }
+  void NotifyDrop(int node, const Packet& p, DropReason reason) {
+    ++total_drops_;
+    Fan(&NetworkObserver::OnDrop, node, p, reason);
+  }
+  void NotifyHostDeliver(HostId host, const Packet& p) {
+    ++total_delivered_;
+    Fan(&NetworkObserver::OnHostDeliver, host, p);
+  }
+  void NotifyEnqueue(int node, uint16_t port, const Packet& p, size_t queue_depth) {
+    Fan(&NetworkObserver::OnEnqueuePacket, node, port, p, queue_depth);
+  }
+  void NotifyDequeue(int node, uint16_t port, const Packet& p, size_t queue_depth) {
+    Fan(&NetworkObserver::OnDequeue, node, port, p, queue_depth);
+  }
+  void NotifyGuardTransition(int node, GuardState from, GuardState to) {
+    Fan(&NetworkObserver::OnGuardTransition, node, from, to);
+  }
+  void NotifyWireEnter(int node, uint16_t port, const Packet& p, bool link_up) {
+    Fan(&NetworkObserver::OnWireEnter, node, port, p, link_up);
+  }
+  void NotifyWireExit(int node, uint16_t port, const Packet& p) {
+    Fan(&NetworkObserver::OnWireExit, node, port, p);
+  }
+  void NotifyPause(int node, uint16_t port, bool paused) {
+    Fan(&NetworkObserver::OnPause, node, port, paused);
+  }
+  void NotifyTcpTimeout(HostId host, FlowId flow, uint32_t seq) {
+    Fan(&NetworkObserver::OnTcpTimeout, host, flow, seq);
+  }
+  void NotifyTcpRetransmit(HostId host, FlowId flow, uint32_t seq) {
+    Fan(&NetworkObserver::OnTcpRetransmit, host, flow, seq);
+  }
 
   // ---- Overload guard (src/guard) ----
   //
   // Constructed when config.guard.enabled; the fabric reports breaker
-  // transitions back through NotifyGuardTransition (observers + trace).
+  // transitions back through NotifyGuardTransition.
   // Callers running outside a Scenario must Start() it themselves.
   GuardFabric* guard() { return guard_.get(); }
   const GuardFabric* guard() const { return guard_.get(); }
-
-  // ---- Packet-lifecycle tracing (src/trace) ----
-  //
-  // Attaching a TraceBus arms event emission across the forwarding path;
-  // with no bus attached every emission site is a single pointer check.
-  // Tracing never consumes simulator RNG and never changes scheduling, so a
-  // traced run is bit-identical to the same run untraced.
-  void AttachTraceBus(TraceBus* bus) { trace_ = bus; }
-  bool TraceArmed() const { return trace_ != nullptr; }
-  void EmitTrace(const TraceEvent& e) {
-    if (trace_ != nullptr) {
-      trace_->Emit(e);
-    }
-  }
-  // Transport-layer events (RTO fired / segment retransmitted), attributed
-  // to the sending host's node.
-  void TraceTransportEvent(TraceEventType type, HostId host, FlowId flow, uint32_t seq);
 
   // ---- Fault model (driven by fault::FaultInjector or tests) ----
   //
@@ -195,13 +208,20 @@ class Network {
   // pushes it into both Ports and the live FIB.
   void ApplyLinkEffective(int link);
 
+  // Calls `hook` on every observer with `args` and the current time.
+  template <typename... Params, typename... Args>
+  void Fan(void (NetworkObserver::*hook)(Params...), const Args&... args) {
+    for (NetworkObserver* obs : observers_) {
+      (obs->*hook)(args..., sim_->Now());
+    }
+  }
+
   Simulator* sim_;
   Topology topo_;
   NetworkConfig config_;
   Fib fib_;
   std::vector<bool> link_admin_up_;      // indexed by link id
   std::vector<bool> node_up_;            // indexed by node id; false = crashed switch
-  std::vector<bool> link_effective_up_;  // last applied effective state, for trace edges
   std::unique_ptr<DetourPolicy> policy_;
   std::unique_ptr<GuardFabric> guard_;
 
@@ -210,7 +230,6 @@ class Network {
   std::vector<int> switch_ids_;
   std::vector<NetworkObserver*> observers_;
   std::unique_ptr<InvariantChecker> invariant_checker_;      // DIBS_VALIDATE only
-  TraceBus* trace_ = nullptr;                                // not owned; may be null
 
   uint64_t next_uid_ = 1;
   uint64_t total_drops_ = 0;

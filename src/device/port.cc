@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/device/invariant_checker.h"
 #include "src/device/network.h"
 #include "src/util/logging.h"
 
@@ -13,31 +12,17 @@ bool Port::EnqueueAndTransmit(Packet&& p) {
   if (!link_up_) {
     // Blackhole: the port owns the packet's terminal state. Returning true
     // tells the caller the port took responsibility — the drop has already
-    // been accounted through the fault handler.
-    if (fault_drop_) {
-      fault_drop_(std::move(p), DropReason::kFaultLinkDown);
-    }
+    // been accounted.
+    FaultDrop(p, DropReason::kFaultLinkDown);
     return true;
   }
   p.enqueued_at = sim_->Now();
-  // The packet is gone after Enqueue (moved, possibly destroyed by a pFabric
-  // eviction), so snapshot the trace event first — but only when a bus is
-  // armed, so the untraced hot path never copies packet fields.
-  std::optional<TraceEvent> ev;
-  if (network_ != nullptr && network_->TraceArmed()) {
-    ev.emplace(MakeTracePacketEvent(TraceEventType::kEnqueue, sim_->Now(), owner_->id(),
-                                    index_, p));
-  }
-  if (!queue_->Enqueue(std::move(p))) {
+  // The queue admits a copy, so `p` is still the admitted packet afterwards.
+  if (!queue_->Enqueue(p)) {
     return false;
   }
   if (network_ != nullptr) {
-    const size_t depth = queue_->size_packets();
-    network_->NotifyEnqueue(owner_->id(), index_, depth);
-    if (ev.has_value()) {
-      ev->queue_depth = static_cast<int32_t>(depth);
-      network_->EmitTrace(*ev);
-    }
+    network_->NotifyEnqueue(owner_->id(), index_, p, queue_->size_packets());
   }
   MaybeTransmit();
   return true;
@@ -46,13 +31,8 @@ bool Port::EnqueueAndTransmit(Packet&& p) {
 void Port::SetPaused(bool paused) {
   if (paused_ != paused) {
     paused_ = paused;
-    if (network_ != nullptr && network_->TraceArmed()) {
-      TraceEvent ev;
-      ev.at = sim_->Now();
-      ev.type = paused ? TraceEventType::kPause : TraceEventType::kUnpause;
-      ev.node = owner_->id();
-      ev.port = index_;
-      network_->EmitTrace(ev);
+    if (network_ != nullptr) {
+      network_->NotifyPause(owner_->id(), index_, paused);
     }
   }
   if (!paused_) {
@@ -70,8 +50,8 @@ void Port::SetLinkUp(bool up) {
     return;
   }
   // Link died: everything buffered behind it is lost. Each drained packet
-  // reaches its terminal state through the fault handler, and the owner hears
-  // the dequeue so flow-control watermarks re-evaluate.
+  // reaches its terminal state as a fault drop, and the owner hears the
+  // dequeue so flow-control watermarks re-evaluate.
   while (true) {
     std::optional<Packet> dead = queue_->Dequeue();
     if (!dead.has_value()) {
@@ -81,9 +61,13 @@ void Port::SetLinkUp(bool up) {
     if (network_ != nullptr) {
       network_->NotifyDequeue(owner_->id(), index_, *dead, queue_->size_packets());
     }
-    if (fault_drop_) {
-      fault_drop_(std::move(*dead), DropReason::kFaultLinkDown);
-    }
+    FaultDrop(*dead, DropReason::kFaultLinkDown);
+  }
+}
+
+void Port::FaultDrop(const Packet& p, DropReason reason) {
+  if (network_ != nullptr) {
+    network_->NotifyDrop(owner_->id(), p, reason);
   }
 }
 
@@ -101,7 +85,6 @@ void Port::MaybeTransmit() {
   }
   DIBS_CHECK(peer_ != nullptr) << "port transmitted before Connect()";
   owner_->OnPortDequeue(index_);
-  const bool traced = network_ != nullptr && network_->TraceArmed();
   if (network_ != nullptr) {
     network_->NotifyDequeue(owner_->id(), index_, *next, queue_->size_packets());
   }
@@ -115,18 +98,15 @@ void Port::MaybeTransmit() {
   // onto the wire correctly.
   sim_->Schedule(serialization, [this] { OnTxDone(); });
 
-  if (traced) {
-    network_->EmitTrace(MakeTracePacketEvent(TraceEventType::kWireEnter, sim_->Now(),
-                                             owner_->id(), index_, *next));
+  if (network_ != nullptr) {
+    network_->NotifyWireEnter(owner_->id(), index_, *next, link_up_);
   }
 
   // Degraded link: the frame may be corrupted in flight. The wire slot is
   // still consumed (the serialization event above stands), but the packet
   // never lands — it dies here as a fault-lossy terminal drop.
   if (loss_probability_ > 0 && sim_->rng().Bernoulli(loss_probability_)) {
-    if (fault_drop_) {
-      fault_drop_(std::move(*next), DropReason::kFaultLossy);
-    }
+    FaultDrop(*next, DropReason::kFaultLossy);
     return;
   }
   Time prop = prop_delay_;
@@ -134,33 +114,19 @@ void Port::MaybeTransmit() {
     prop = prop + Time::Nanos(sim_->rng().UniformInt(0, extra_jitter_.nanos()));
   }
 
-  // The packet is "on the wire" from the moment it left the queue until the
-  // peer takes it; the conservation ledger tracks that window (and flags a
-  // transmission through a down link as a dead-port delivery).
-  if (checker_ != nullptr) {
-    checker_->OnWireEnter(*next, link_up_);
-  }
   // The delivery closure carries the packet itself: with jitter, packets in
   // flight may land out of transmit order, and each event owns its own.
-  sim_->Schedule(serialization + prop, [this, pkt = std::move(*next), traced]() mutable {
-    DeliverWire(std::move(pkt), traced);
+  sim_->Schedule(serialization + prop, [this, pkt = std::move(*next)]() mutable {
+    if (network_ != nullptr) {
+      network_->NotifyWireExit(peer_->id(), peer_port_, pkt);
+    }
+    peer_->HandleReceive(std::move(pkt), peer_port_);
   });
 }
 
 void Port::OnTxDone() {
   transmitting_ = false;
   MaybeTransmit();
-}
-
-void Port::DeliverWire(Packet&& pkt, bool traced) {
-  if (checker_ != nullptr) {
-    checker_->OnWireExit(pkt);
-  }
-  if (traced && network_ != nullptr) {
-    network_->EmitTrace(MakeTracePacketEvent(TraceEventType::kWireExit, sim_->Now(),
-                                             peer_->id(), peer_port_, pkt));
-  }
-  peer_->HandleReceive(std::move(pkt), peer_port_);
 }
 
 }  // namespace dibs

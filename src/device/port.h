@@ -9,7 +9,6 @@
 #define SRC_DEVICE_PORT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -20,7 +19,6 @@
 
 namespace dibs {
 
-class InvariantChecker;
 class Network;
 
 class Port {
@@ -62,8 +60,9 @@ class Port {
   bool paused() const { return paused_; }
 
   // Fault model (src/fault). Taking the link down drains the queue — every
-  // buffered packet dies with DropReason::kFaultLinkDown through the fault
-  // drop handler, a terminal state the conservation ledger accepts — and
+  // buffered packet dies with DropReason::kFaultLinkDown through the
+  // Network's drop fan-out, a terminal state the conservation ledger
+  // accepts — and
   // blackholes future EnqueueAndTransmit calls the same way. As with pause,
   // a packet already on the wire is not recalled: it lands at the peer
   // (which drops it if that peer is a crashed switch). Bringing the link
@@ -83,23 +82,14 @@ class Port {
   }
   bool degraded() const { return loss_probability_ > 0 || extra_jitter_ > Time::Zero(); }
 
-  // Wires the terminal-drop path for fault-killed packets (drained queues,
-  // blackholed enqueues, lossy-link losses). Installed by the Network so the
-  // drop reaches observers/recorders as a normal NotifyDrop.
-  using FaultDropHandler = std::function<void(Packet&&, DropReason)>;
-  void SetFaultDropHandler(FaultDropHandler handler) { fault_drop_ = std::move(handler); }
-
   // Cumulative transmit counters, sampled by LinkMonitor.
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t packets_sent() const { return packets_sent_; }
 
-  // DIBS_VALIDATE: wires the conservation ledger's on-the-wire accounting
-  // into this port's transmitter. Null (the default) disables it.
-  void AttachInvariantChecker(InvariantChecker* checker) { checker_ = checker; }
-
-  // Wires observer/trace fan-out (enqueue/dequeue depth, wire events, pause
-  // transitions) through the owning Network. Null (the default, and what
-  // unit tests that build bare Ports get) disables all of it.
+  // Wires observer fan-out (enqueue/dequeue depth, wire events, pause
+  // transitions, fault drops attributed to the owning node) through the
+  // owning Network. Null (the default, and what unit tests that build bare
+  // Ports get) disables all of it.
   void AttachNetwork(Network* network) { network_ = network; }
 
  private:
@@ -108,9 +98,8 @@ class Port {
   // Serialization of the head packet finished: the transmitter frees up.
   void OnTxDone();
 
-  // Wire-delivery event body: hands a packet that survived the wire to the
-  // peer node. `traced` is whether a trace bus was armed at transmit time.
-  void DeliverWire(Packet&& pkt, bool traced);
+  // A fault killed `p` here (drained, blackholed or lost on the wire).
+  void FaultDrop(const Packet& p, DropReason reason);
 
   Simulator* sim_;
   Node* owner_;
@@ -128,11 +117,9 @@ class Port {
   bool link_up_ = true;
   double loss_probability_ = 0;
   Time extra_jitter_;
-  FaultDropHandler fault_drop_;
   uint64_t bytes_sent_ = 0;
   uint64_t packets_sent_ = 0;
-  InvariantChecker* checker_ = nullptr;  // DIBS_VALIDATE wire accounting
-  Network* network_ = nullptr;           // observer/trace fan-out; may be null
+  Network* network_ = nullptr;  // observer fan-out; may be null
 };
 
 }  // namespace dibs

@@ -75,8 +75,9 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   // Tracing attaches before any traffic exists so host-send events are never
   // missed. The env overlay lets sweeps/CI trace without touching configs.
   if (TraceConfig tcfg = ApplyTraceEnv(config_.trace); tcfg.enabled) {
-    trace_ = std::make_unique<TraceSession>(tcfg, config_.sweep_run_index);
-    network_->AttachTraceBus(trace_->bus());
+    trace_ = std::make_unique<TraceSession>(tcfg, &network_->topology(),
+                                            config_.sweep_run_index);
+    network_->AddObserver(trace_->bus());
   }
   if (!config_.faults.empty()) {
     network_->AddObserver(&fault_recorder_);

@@ -38,15 +38,16 @@ class DropTailQueue : public Queue {
     return capacity_ != 0 && packets_.size() >= capacity_;
   }
 
-  bool Enqueue(Packet&& p) override {
+  bool Enqueue(const Packet& p) override {
     if (IsFull(p)) {
       return false;
     }
-    if (mark_threshold_ != 0 && packets_.size() >= mark_threshold_ && p.ect) {
-      p.ce = true;
-    }
+    const bool mark = mark_threshold_ != 0 && packets_.size() >= mark_threshold_ && p.ect;
     bytes_ += p.size_bytes;
-    packets_.push_back(std::move(p));
+    packets_.push_back(p);
+    if (mark) {
+      packets_.back().ce = true;
+    }
     if (pool_ != nullptr) {
       pool_->OnEnqueue();
     }

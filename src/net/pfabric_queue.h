@@ -34,7 +34,7 @@ class PfabricQueue : public Queue {
   // buffered packet it evicted to make room. pFabric losses never reach the
   // switch's drop path, so this is the only place a conservation ledger can
   // learn about them.
-  using EvictionHandler = std::function<void(Packet&&)>;
+  using EvictionHandler = std::function<void(const Packet&)>;
 
   explicit PfabricQueue(size_t capacity_packets = 24) : capacity_(capacity_packets) {}
 
@@ -53,26 +53,26 @@ class PfabricQueue : public Queue {
     return p.priority >= packets_[worst].pkt.priority;
   }
 
-  bool Enqueue(Packet&& p) override {
+  bool Enqueue(const Packet& p) override {
     if (packets_.size() < capacity_) {
-      Push(std::move(p));
+      Push(p);
       return true;
     }
     const size_t worst = LowestPriorityIndex();
     if (p.priority >= packets_[worst].pkt.priority) {
       ++evictions_;  // arriving packet is the loser
       if (on_evict_) {
-        on_evict_(std::move(p));
+        on_evict_(p);
       }
       return false;
     }
     bytes_ -= packets_[worst].pkt.size_bytes;
-    Packet evicted = std::move(packets_[worst].pkt);
+    const Packet evicted = packets_[worst].pkt;
     packets_.erase(packets_.begin() + static_cast<ptrdiff_t>(worst));
     ++evictions_;
-    Push(std::move(p));
+    Push(p);
     if (on_evict_) {
-      on_evict_(std::move(evicted));
+      on_evict_(evicted);
     }
     return true;
   }
@@ -138,9 +138,9 @@ class PfabricQueue : public Queue {
     return worst;
   }
 
-  void Push(Packet&& p) {
+  void Push(const Packet& p) {
     bytes_ += p.size_bytes;
-    packets_.push_back(Entry{std::move(p), next_arrival_++});
+    packets_.push_back(Entry{p, next_arrival_++});
     if (validate::Enabled()) {
       CheckConsistent(&packets_.back().pkt);
     }

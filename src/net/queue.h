@@ -23,8 +23,10 @@ class Queue {
   // whether to detour; the switch never calls Enqueue when IsFull is true.
   virtual bool IsFull(const Packet& p) const = 0;
 
-  // Admits the packet (may set its CE mark). Returns false on drop.
-  virtual bool Enqueue(Packet&& p) = 0;
+  // Admits a copy of the packet (the copy may get a CE mark); `p` itself is
+  // left as it was, so the caller can still report it. Packet is trivially
+  // copyable, so this costs what a move would. Returns false on drop.
+  virtual bool Enqueue(const Packet& p) = 0;
 
   // Removes the next packet to transmit, or nullopt when empty.
   virtual std::optional<Packet> Dequeue() = 0;

@@ -8,9 +8,8 @@
 // bit-identical for a given seed regardless of worker count or process
 // isolation — the same contract the rest of the simulator keeps.
 //
-// Emission is guarded at the Network layer by a single pointer check
-// (Network::TraceArmed()); with no TraceBus attached the hot path pays one
-// predictable branch per site and allocates nothing.
+// TraceBus builds these inside its NetworkObserver hooks; a run with no bus
+// registered builds none.
 
 #ifndef SRC_TRACE_TRACE_EVENT_H_
 #define SRC_TRACE_TRACE_EVENT_H_
@@ -124,14 +123,17 @@ struct TraceEvent {
   uint32_t seq = 0;  // data seq or cumulative ack, per is_ack
 };
 
-// Fills the packet-derived fields; callers set queue_depth/drop_reason after.
+// A packet event: the packet-derived fields plus the operation's own.
 inline TraceEvent MakeTracePacketEvent(TraceEventType type, Time at, int32_t node,
-                                       int32_t port, const Packet& p) {
+                                       int32_t port, const Packet& p,
+                                       int32_t queue_depth = -1, uint8_t drop_reason = 0) {
   TraceEvent e;
   e.at = at;
   e.type = type;
   e.node = node;
   e.port = port;
+  e.queue_depth = queue_depth;
+  e.drop_reason = drop_reason;
   e.uid = p.uid;
   e.flow = p.flow;
   e.src = p.src;

@@ -6,11 +6,12 @@
 
 namespace dibs {
 
-TraceSession::TraceSession(const TraceConfig& config, int run_index)
+TraceSession::TraceSession(const TraceConfig& config, const Topology* topology, int run_index)
     : config_(config),
       dump_path_(PerRunTracePath(config.dump_path, run_index)),
       perfetto_path_(PerRunTracePath(config.perfetto_path, run_index)),
-      flight_(config.ring_capacity) {
+      flight_(config.ring_capacity),
+      bus_(topology) {
   bus_.SetFilter(config_.filter);
   bus_.AddSink(&flight_);
   bus_.AddSink(&journeys_);

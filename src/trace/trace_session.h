@@ -1,8 +1,8 @@
 // TraceSession: owns one run's trace plumbing — the bus, the flight
 // recorder (crash-dump armed for its lifetime), the optional streaming
 // JSONL sink, the journey builder, and the optional event buffer backing a
-// Perfetto export. Scenario creates one per traced run and attaches its bus
-// to the Network.
+// Perfetto export. Scenario creates one per traced run and registers its bus
+// as a Network observer.
 
 #ifndef SRC_TRACE_TRACE_SESSION_H_
 #define SRC_TRACE_TRACE_SESSION_H_
@@ -22,9 +22,10 @@ namespace dibs {
 
 class TraceSession {
  public:
-  // run_index >= 0 (a sweep run) suffixes file sinks with ".run<N>" so
-  // parallel runs write disjoint files.
-  explicit TraceSession(const TraceConfig& config, int run_index = -1);
+  // `topology` (not owned) is the traced network's; see TraceBus. run_index
+  // >= 0 (a sweep run) suffixes file sinks with ".run<N>" so parallel runs
+  // write disjoint files.
+  TraceSession(const TraceConfig& config, const Topology* topology, int run_index = -1);
   ~TraceSession();
 
   TraceSession(const TraceSession&) = delete;

@@ -78,7 +78,7 @@ void PfabricSender::SendSegment(uint32_t seq, bool is_retransmit) {
   p.sent_time = network_->sim().Now();
   if (is_retransmit) {
     ++retransmits_;
-    network_->TraceTransportEvent(TraceEventType::kTcpRetransmit, spec_.src, spec_.id, seq);
+    network_->NotifyTcpRetransmit(spec_.src, spec_.id, seq);
   }
   network_->host(spec_.src).Send(std::move(p));
 }
@@ -104,7 +104,7 @@ void PfabricSender::OnRtoTimeout() {
   }
   ++timeouts_;
   ++consecutive_timeouts_;
-  network_->TraceTransportEvent(TraceEventType::kTcpTimeout, spec_.src, spec_.id, snd_una_);
+  network_->NotifyTcpTimeout(spec_.src, spec_.id, snd_una_);
   SendSegment(snd_una_, /*is_retransmit=*/true);
   ArmRtoTimer();
 }

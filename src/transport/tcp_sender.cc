@@ -68,7 +68,7 @@ void TcpSender::SendSegment(uint32_t seq, bool is_retransmit) {
   if (is_retransmit) {
     ++retransmits_;
     was_retransmitted_[seq] = true;
-    network_->TraceTransportEvent(TraceEventType::kTcpRetransmit, spec_.src, spec_.id, seq);
+    network_->NotifyTcpRetransmit(spec_.src, spec_.id, seq);
   } else {
     first_sent_[seq] = p.sent_time;
   }
@@ -112,7 +112,7 @@ void TcpSender::OnRtoTimeout() {
   }
   ++timeouts_;
   ++rto_backoff_;
-  network_->TraceTransportEvent(TraceEventType::kTcpTimeout, spec_.src, spec_.id, snd_una_);
+  network_->NotifyTcpTimeout(spec_.src, spec_.id, snd_una_);
   EnterLossRecovery(/*timeout=*/true);
   SendSegment(snd_una_, /*is_retransmit=*/true);
   ArmRtoTimer();

@@ -184,10 +184,10 @@ TEST(SwitchTest, JourneyRecordsDetourHops) {
   cfg.detour_policy = "random";
   Simulator sim(13);
   Network net(&sim, BuildPaperFatTree(), cfg);
-  TraceBus bus;
+  TraceBus bus(&net.topology());
   JourneyBuilder journeys;
   bus.AddSink(&journeys);
-  net.AttachTraceBus(&bus);
+  net.AddObserver(&bus);
   for (int s = 1; s <= 8; ++s) {
     for (int i = 0; i < 10; ++i) {
       Packet p;

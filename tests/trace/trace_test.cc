@@ -12,10 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "src/device/host_node.h"
 #include "src/device/invariant_checker.h"
+#include "src/device/switch_node.h"
 #include "src/exp/sweep_engine.h"
 #include "src/harness/config.h"
 #include "src/harness/scenario.h"
+#include "src/topo/builders.h"
 #include "src/trace/flight_recorder.h"
 #include "src/trace/journey.h"
 #include "src/trace/trace_bus.h"
@@ -187,6 +190,85 @@ TEST(TraceBusTest, FiltersByNodeFlowClassAndSample) {
   control.node = 17;
   bus.Emit(control);
   EXPECT_EQ(sink.n, 2);
+}
+
+// Transport events carry a flow but no packet uid: the flow allow-list still
+// applies to them, so tracing one flow does not record every flow's RTOs.
+TEST(TraceBusTest, FlowFilterAppliesToTransportEvents) {
+  struct Counter : TraceSink {
+    int n = 0;
+    void OnEvent(const TraceEvent&) override { ++n; }
+  } sink;
+  TraceBus bus;
+  bus.AddSink(&sink);
+  TraceFilter f;
+  f.flows = {42};
+  bus.SetFilter(f);
+
+  TraceEvent other;
+  other.type = TraceEventType::kTcpTimeout;
+  other.flow = 7;
+  bus.Emit(other);
+  other.type = TraceEventType::kTcpRetransmit;
+  bus.Emit(other);
+  EXPECT_EQ(sink.n, 0);
+
+  TraceEvent mine = other;
+  mine.flow = 42;
+  bus.Emit(mine);
+  EXPECT_EQ(sink.n, 1);
+
+  // Control events carry no flow and still pass.
+  TraceEvent control;
+  control.type = TraceEventType::kLinkDown;
+  bus.Emit(control);
+  EXPECT_EQ(sink.n, 2);
+}
+
+// One kWireEnter per packet a port transmits, and one kWireExit per packet
+// that survives the wire: on a lossy link the difference is exactly the
+// kFaultLossy drops.
+TEST(TraceBusTest, OneWireEventPerWireCrossingOnLossyLink) {
+  struct WireCounter : TraceSink {
+    uint64_t enters = 0, exits = 0, lossy = 0;
+    void OnEvent(const TraceEvent& e) override {
+      if (e.type == TraceEventType::kWireEnter) {
+        ++enters;
+      } else if (e.type == TraceEventType::kWireExit) {
+        ++exits;
+      } else if (e.type == TraceEventType::kDrop &&
+                 e.drop_reason == static_cast<uint8_t>(DropReason::kFaultLossy)) {
+        ++lossy;
+      }
+    }
+  } sink;
+  Simulator sim(3);
+  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
+  TraceBus bus(&net.topology());
+  bus.AddSink(&sink);
+  net.AddObserver(&bus);
+  const Topology& topo = net.topology();
+  net.SetLinkDegraded(topo.ports(topo.host_node(0))[0].link, 0.5, Time::Zero());
+  for (int i = 0; i < 100; ++i) {
+    Packet p;
+    p.uid = net.NextPacketUid();
+    p.src = 0;
+    p.dst = 5;
+    p.size_bytes = 1500;
+    p.flow = 1;
+    net.host(0).Send(std::move(p));
+  }
+  sim.Run();
+
+  uint64_t sent = net.host(0).nic().packets_sent() + net.host(5).nic().packets_sent();
+  for (int sw : net.switch_ids()) {
+    for (uint16_t i = 0; i < topo.ports(sw).size(); ++i) {
+      sent += net.switch_at(sw).port(i).packets_sent();
+    }
+  }
+  EXPECT_GT(sink.lossy, 0u);
+  EXPECT_EQ(sink.enters, sent);
+  EXPECT_EQ(sink.exits, sent - sink.lossy);
 }
 
 TEST(TraceBusTest, SamplingIsAPureUidHash) {

@@ -168,7 +168,7 @@ TEST(ValidateDiagnostics, DescriptionIdentifiesPacketByUid) {
 TEST(ValidateDiagnostics, PfabricEvictionHandlerSeesDestroyedPackets) {
   PfabricQueue q(/*capacity_packets=*/2);
   std::vector<uint64_t> evicted;
-  q.SetEvictionHandler([&](Packet&& dead) { evicted.push_back(dead.uid); });
+  q.SetEvictionHandler([&](const Packet& dead) { evicted.push_back(dead.uid); });
   Packet a = MakePacket(1);
   a.priority = 10;
   Packet b = MakePacket(2);
@@ -235,6 +235,35 @@ TEST(ValidateEndToEnd, DetourStormBalancesLedger) {
   EXPECT_EQ(checker.injected(), checker.delivered() + checker.dropped());
   EXPECT_NO_THROW(checker.CheckQuiescent());
   EXPECT_NO_THROW(checker.CheckBalanced(net.TotalBufferedPackets()));
+}
+
+// Positive end-to-end over a lossy link: a packet is on the wire from its
+// wire-enter until it lands or the loss draw kills it, so the balance holds
+// at every mid-flight event boundary, not only at quiescence.
+TEST(ValidateEndToEnd, LossyLinkBalancesLedgerMidFlight) {
+  validate::ScopedEnable on;
+  Simulator sim(17);
+  Network net(&sim, BuildEmulabTestbed(), NetworkConfig{});
+  ASSERT_NE(net.invariant_checker(), nullptr);
+  const Topology& topo = net.topology();
+  net.SetLinkDegraded(topo.ports(topo.host_node(0))[0].link, 0.5, Time::Zero());
+  for (int i = 0; i < 100; ++i) {
+    Packet p = MakePacket(net.NextPacketUid());
+    p.dst = 5;
+    net.host(0).Send(std::move(p));
+  }
+  const InvariantChecker& checker = *net.invariant_checker();
+  int mid_flight_checks = 0;
+  for (Time t = Time::Micros(5); sim.pending_events() > 0; t = t + Time::Micros(50)) {
+    sim.RunUntil(t);
+    ASSERT_NO_THROW(checker.CheckBalanced(net.TotalBufferedPackets())) << "at " << t.nanos();
+    mid_flight_checks += checker.in_flight() > 0 && checker.on_wire() > 0 ? 1 : 0;
+  }
+  EXPECT_GE(mid_flight_checks, 3);
+  EXPECT_GT(checker.fault_dropped(), 0u);
+  EXPECT_EQ(checker.injected(), 100u);
+  EXPECT_EQ(checker.on_wire(), 0u);
+  EXPECT_NO_THROW(checker.CheckQuiescent());
 }
 
 }  // namespace

@@ -21,9 +21,14 @@ Rule catalog (see DESIGN.md "Static analysis" for the contracts these prove):
   observer-purity    Methods of NetworkObserver / TraceSink subclasses (and
                      everything they transitively call within the repo) must
                      not call non-const methods of the simulation-state
-                     classes nor schedule simulator events: observers are
-                     what make a traced run bit-identical to an untraced
-                     one. Constructors/destructors are exempt (observer
+                     classes nor schedule simulator events. NetworkObserver
+                     is the one instrumentation channel: the stats
+                     recorders, the conservation ledger and the TraceBus
+                     all subscribe through it, so this one base covers
+                     every forwarding-path consumer, and TraceSink covers
+                     what the bus feeds. Pure observers are what make a
+                     traced run bit-identical to an untraced one.
+                     Constructors/destructors are exempt (observer
                      registration happens there, before the run).
   signal-safety      Nothing reachable from a registered signal handler
                      (sigaction/signal, sa_handler assignments) or from the

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Tracing-off overhead guard for the simulator hot path.
 
-The trace subsystem's contract is "free when off": with no TraceBus attached,
-the per-hop observer hooks are a null-pointer check. This guard enforces that
+The trace subsystem's contract is "free when off": with no TraceBus registered
+as a NetworkObserver, no trace event is ever built and each per-hop hook is one
+loop over the registered observers. This guard enforces that
 by ratcheting BM_SwitchPacketHop (google-benchmark JSON output) against a
 per-machine baseline cached in the build tree:
 

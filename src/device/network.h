@@ -144,6 +144,7 @@ class Network {
   void NotifyTcpRetransmit(HostId host, FlowId flow, uint32_t seq) {
     Fan(&NetworkObserver::OnTcpRetransmit, host, flow, seq);
   }
+  void NotifyFault(bool breakage) { Fan(&NetworkObserver::OnFaultEvent, breakage); }
 
   // ---- Overload guard (src/guard) ----
   //

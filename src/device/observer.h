@@ -70,6 +70,11 @@ class NetworkObserver {
   // A sender's RTO fired (`seq` = oldest unacked segment), or it resent `seq`.
   virtual void OnTcpTimeout(HostId host, FlowId flow, uint32_t seq, Time at) {}
   virtual void OnTcpRetransmit(HostId host, FlowId flow, uint32_t seq, Time at) {}
+
+  // A fault-plan event fired (src/fault): once per plan entry, after the
+  // network applied it. `breakage` is true for link down, switch crash and
+  // link degrade, false for the matching repairs.
+  virtual void OnFaultEvent(bool breakage, Time at) {}
 };
 
 }  // namespace dibs

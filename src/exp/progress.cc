@@ -42,6 +42,23 @@ std::string ProgressReporter::ComposeLine(const SweepSummary& s,
   }
   std::snprintf(buf, sizeof(buf), " in %.1fs", elapsed_sec);
   line += buf;
+  if (s.wall_s <= 0) {
+    return line;  // still running: no critical-path figures yet
+  }
+  std::snprintf(buf, sizeof(buf), ", util %.2f", s.WorkerUtil());
+  line += buf;
+  if (s.longest_index >= 0) {
+    line += ", longest run " + std::to_string(s.longest_index);
+    if (!s.longest_points.empty()) {
+      std::string points;
+      for (const AxisPoint& p : s.longest_points) {
+        points += (points.empty() ? "" : " ") + p.axis + "=" + p.value;
+      }
+      line += " (" + points + ")";
+    }
+    std::snprintf(buf, sizeof(buf), " %.2fs", s.longest_wall_ms / 1e3);
+    line += buf;
+  }
   return line;
 }
 

@@ -85,11 +85,28 @@ struct SweepSummary {
   size_t retried = 0;   // rows that consumed more than one attempt
   size_t resumed = 0;   // rows replayed from a journal instead of executed
 
+  // Host timing of this sweep's critical path, for the progress meter's
+  // final line. Wall-clock only: never encoded in a RunRecord or a digest.
+  // Rows replayed from a journal did not execute here and are not counted.
+  double wall_s = 0;           // whole-sweep wall time; set when it ends
+  size_t workers = 0;          // worker threads or concurrent children
+  double run_wall_ms = 0;      // sum of executed runs' wall_ms
+  int longest_index = -1;      // executed run with the largest wall_ms
+  double longest_wall_ms = 0;
+  std::vector<AxisPoint> longest_points;
+
   size_t done() const { return ok + failed + timeout + crashed + quarantined; }
   bool AllOk() const { return ok == total; }
 
+  // Busy share of the worker pool: run_wall_ms / (workers x wall_s); 0
+  // until the sweep ends.
+  double WorkerUtil() const;
+
   // Adds `record` to the status tallies (attempts feed `retried`).
   void Count(const RunRecord& record);
+
+  // Adds an executed `record`'s wall time to run_wall_ms and the longest run.
+  void CountWall(const RunRecord& record);
 };
 
 }  // namespace dibs

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -47,6 +49,22 @@ SweepOptions ResolveOptions(SweepOptions options) {
   return options;
 }
 
+// Run indices in the order workers claim them: descending offered load, ties
+// in matrix order. The costliest cell starts at time zero and the cheaper
+// ones fill in around it, instead of the heaviest (last in the matrix of
+// every degree or rate sweep) starting last and running on alone.
+std::vector<size_t> ClaimOrder(const std::vector<RunSpec>& runs) {
+  std::vector<double> load(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    load[i] = OfferedLoadBytes(runs[i].config);
+  }
+  std::vector<size_t> order(runs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&load](size_t a, size_t b) { return load[a] > load[b]; });
+  return order;
+}
+
 void LogFinalStatus(const std::string& sweep_name, const RunRecord& rec) {
   if (rec.status != RunStatus::kOk) {
     DIBS_LOG(kWarning) << "sweep " << sweep_name << " run " << rec.index << " "
@@ -78,6 +96,7 @@ struct Delivery {
 
   void Deliver(size_t index, RunRecord rec) {
     summary->Count(rec);
+    summary->CountWall(rec);
     (*records)[index] = std::move(rec);
     (*done)[index] = 1;
     if (journal != nullptr && journal->is_open()) {
@@ -92,16 +111,17 @@ struct Delivery {
 // backoff sleeps. A crash or hard hang in any run still takes down the
 // whole sweep here — that is what DIBS_ISOLATE=process is for.
 void RunThreaded(const std::string& sweep_name, const std::vector<RunSpec>& runs,
-                 const SweepOptions& options, Delivery* delivery, std::mutex* mu) {
-  const size_t n = runs.size();
+                 const std::vector<size_t>& order, const SweepOptions& options, size_t jobs,
+                 Delivery* delivery, std::mutex* mu) {
   std::atomic<size_t> next_claim{0};
 
   auto worker = [&] {
     while (true) {
-      const size_t i = next_claim.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) {
+      const size_t claim = next_claim.fetch_add(1, std::memory_order_relaxed);
+      if (claim >= order.size()) {
         return;
       }
+      const size_t i = order[claim];
       {
         std::lock_guard<std::mutex> lock(*mu);
         if ((*delivery->done)[i]) {
@@ -131,14 +151,12 @@ void RunThreaded(const std::string& sweep_name, const std::vector<RunSpec>& runs
     }
   };
 
-  const int jobs = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(SweepEngine::ResolveJobs(options.jobs)), n));
   if (jobs <= 1) {
     worker();
   } else {
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) {
+    pool.reserve(jobs);
+    for (size_t t = 0; t < jobs; ++t) {
       pool.emplace_back(worker);
     }
     for (std::thread& t : pool) {
@@ -152,7 +170,8 @@ void RunThreaded(const std::string& sweep_name, const std::vector<RunSpec>& runs
 // multiplexes their result pipes with poll(). Crashes and watchdog kills
 // become records; retries re-enter the pending queue after their backoff.
 void RunIsolated(const std::string& sweep_name, const std::vector<RunSpec>& runs,
-                 const SweepOptions& options, Delivery* delivery) {
+                 const std::vector<size_t>& order, const SweepOptions& options, size_t jobs,
+                 Delivery* delivery) {
   struct PendingRun {
     size_t index;
     int attempt;  // attempt number this execution will be
@@ -165,15 +184,12 @@ void RunIsolated(const std::string& sweep_name, const std::vector<RunSpec>& runs
   };
 
   std::deque<PendingRun> pending;
-  for (size_t i = 0; i < runs.size(); ++i) {
+  for (size_t i : order) {
     if (!(*delivery->done)[i]) {
       pending.push_back({i, 1, Clock::now()});
     }
   }
   std::vector<ActiveRun> active;
-  const size_t jobs = std::max<size_t>(
-      1, std::min<size_t>(static_cast<size_t>(SweepEngine::ResolveJobs(options.jobs)),
-                          runs.size()));
 
   auto finalize = [&](ActiveRun& done_run) {
     RunRecord rec = done_run.child->Finish(runs[done_run.index], sweep_name);
@@ -324,6 +340,7 @@ std::vector<RunRecord> SweepEngine::Run(const SweepSpec& spec, ResultSink* sink)
 std::vector<RunRecord> SweepEngine::RunAll(const std::string& sweep_name,
                                            std::vector<RunSpec> runs,
                                            ResultSink* sink) {
+  const Clock::time_point start = Clock::now();
   const size_t n = runs.size();
   for (size_t i = 0; i < n; ++i) {
     runs[i].index = static_cast<int>(i);
@@ -384,14 +401,18 @@ std::vector<RunRecord> SweepEngine::RunAll(const std::string& sweep_name,
   delivery.FlushFrontier();
 
   if (summary_.done() < n) {
+    const std::vector<size_t> order = ClaimOrder(runs);
+    const size_t jobs = std::min(static_cast<size_t>(ResolveJobs(options.jobs)), n);
+    summary_.workers = jobs;
     if (options.isolate == IsolationMode::kProcess) {
-      RunIsolated(sweep_name, runs, options, &delivery);
+      RunIsolated(sweep_name, runs, order, options, jobs, &delivery);
     } else {
       std::mutex mu;
-      RunThreaded(sweep_name, runs, options, &delivery, &mu);
+      RunThreaded(sweep_name, runs, order, options, jobs, &delivery, &mu);
     }
   }
 
+  summary_.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   progress.Finish(summary_);
   if (sink != nullptr) {
     sink->Finish();

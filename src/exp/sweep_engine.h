@@ -1,6 +1,11 @@
 // The sweep engine: executes a SweepSpec's run matrix and delivers
 // RunRecords to an optional ResultSink in deterministic matrix order, no
-// matter how the runs are scheduled. Three independent robustness layers:
+// matter how the runs are scheduled. Runs are claimed (by worker threads or
+// forked children alike, at every job count) in descending order of their
+// config's OfferedLoadBytes, ties in matrix order, so the costliest cell
+// starts first and the rest fill in around it; claim order never reaches
+// indices, seeds, records, the journal fingerprint or sink order.
+// Three independent robustness layers:
 //
 //   cooperative  (always on)  wall-clock deadline + event budget polled
 //                             inside the simulator loop (-> `timeout`);
@@ -104,7 +109,8 @@ class SweepEngine {
                                 std::vector<RunSpec> runs,
                                 ResultSink* sink = nullptr);
 
-  // Outcome tallies of the most recent Run/RunAll.
+  // Outcome tallies and host-side critical path (wall time, workers,
+  // longest run) of the most recent Run/RunAll.
   const SweepSummary& summary() const { return summary_; }
 
   // The effective worker count for `requested` (0 = env/hardware default).

@@ -43,6 +43,22 @@ void SweepSummary::Count(const RunRecord& record) {
   }
 }
 
+void SweepSummary::CountWall(const RunRecord& record) {
+  run_wall_ms += record.wall_ms;
+  if (longest_index < 0 || record.wall_ms > longest_wall_ms) {
+    longest_index = record.index;
+    longest_wall_ms = record.wall_ms;
+    longest_points = record.points;
+  }
+}
+
+double SweepSummary::WorkerUtil() const {
+  if (workers == 0 || wall_s <= 0) {
+    return 0;
+  }
+  return run_wall_ms / 1e3 / (static_cast<double>(workers) * wall_s);
+}
+
 std::string RunRecord::PointValue(const std::string& axis,
                                   const std::string& fallback) const {
   for (const AxisPoint& p : points) {

@@ -68,13 +68,7 @@ void FaultInjector::ApplyAt(size_t index) {
       break;
   }
   ++events_applied_;
-  if (recorder_ != nullptr) {
-    if (IsBreakage(event.kind)) {
-      recorder_->OnFaultApplied(event.at);
-    } else {
-      recorder_->OnFaultRepaired(event.at);
-    }
-  }
+  network_->NotifyFault(IsBreakage(event.kind));
 }
 
 }  // namespace dibs::fault

@@ -4,10 +4,11 @@
 // actually switches) and schedules one simulator event per plan entry, in
 // (time, plan order). Each firing applies the fault through the Network's
 // fault API — which drains/blackholes ports, masks the live FIB, and flips
-// crash flags — and tells the FaultRecorder (if any) so recovery windows and
-// impact stats line up with the schedule. Determinism: the plan is data, the
-// events are scheduled up front, and every downstream random draw uses the
-// simulator RNG, so a seed fully determines the fault timeline.
+// crash flags — and then announces it once through Network::NotifyFault, so
+// observers (the FaultRecorder's recovery windows) line up with the
+// schedule. Determinism: the plan is data, the events are scheduled up
+// front, and every downstream random draw uses the simulator RNG, so a seed
+// fully determines the fault timeline.
 
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
@@ -18,15 +19,12 @@
 
 #include "src/device/network.h"
 #include "src/fault/fault_plan.h"
-#include "src/stats/fault_recorder.h"
 
 namespace dibs::fault {
 
 class FaultInjector {
  public:
-  // `recorder` may be null (faults still apply, just unrecorded).
-  FaultInjector(Network* network, FaultPlan plan, FaultRecorder* recorder = nullptr)
-      : network_(network), plan_(std::move(plan)), recorder_(recorder) {}
+  FaultInjector(Network* network, FaultPlan plan) : network_(network), plan_(std::move(plan)) {}
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -44,7 +42,6 @@ class FaultInjector {
 
   Network* network_;
   FaultPlan plan_;
-  FaultRecorder* recorder_;
   uint64_t events_scheduled_ = 0;
   uint64_t events_applied_ = 0;
   // Plan entries in firing order.

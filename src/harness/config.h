@@ -88,6 +88,15 @@ struct ExperimentConfig {
   int sweep_run_index = -1;
 };
 
+// Bytes offered to the network during the load window [0, duration): query
+// responses (qps x duration x incast_degree x response_bytes, when queries
+// are on) plus background flows (hosts x duration / bg_interarrival x mean
+// web-search flow size, when background traffic is on; hosts of the
+// topology the config describes). A pure function of the config that builds
+// nothing: the sweep engine claims runs in descending order of it, so the
+// costliest cell starts first.
+double OfferedLoadBytes(const ExperimentConfig& config);
+
 // --- Scheme presets (the lines compared throughout §5) ---
 
 // Plain DCTCP: drop-tail + ECN, fast retransmit on, no detouring.

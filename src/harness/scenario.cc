@@ -81,8 +81,7 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   }
   if (!config_.faults.empty()) {
     network_->AddObserver(&fault_recorder_);
-    fault_injector_ = std::make_unique<fault::FaultInjector>(network_.get(), config_.faults,
-                                                             &fault_recorder_);
+    fault_injector_ = std::make_unique<fault::FaultInjector>(network_.get(), config_.faults);
   }
   flows_ = std::make_unique<FlowManager>(network_.get(), config_.transport, config_.tcp,
                                          config_.pfabric);

@@ -25,9 +25,11 @@ void FaultRecorder::OnHostDeliver(HostId host, const Packet& p, Time at) {
   open_repairs_.clear();
 }
 
-void FaultRecorder::OnFaultApplied(Time at) { ++applied_; }
-
-void FaultRecorder::OnFaultRepaired(Time at) {
+void FaultRecorder::OnFaultEvent(bool breakage, Time at) {
+  if (breakage) {
+    ++applied_;
+    return;
+  }
   ++repaired_;
   open_repairs_.push_back(at);
 }

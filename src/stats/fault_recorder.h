@@ -3,10 +3,10 @@
 // long the network took to deliver again after each repair.
 //
 // Observer half: counts fault-attributed drops (DropReason::kFault*) and
-// remembers the flows they belonged to. Injector half: FaultInjector calls
-// OnFaultApplied/OnFaultRepaired as it fires plan events; each repair opens a
-// recovery window that the next network-wide delivery closes — "per-event
-// recovery time" is repair -> first packet delivered anywhere afterwards.
+// remembers the flows they belonged to. Fault half: OnFaultEvent hears each
+// plan event the FaultInjector fires; each repair opens a recovery window
+// that the next network-wide delivery closes — "per-event recovery time" is
+// repair -> first packet delivered anywhere afterwards.
 // Scenario half: NoteFlowCompleted marks flows that finished, so at the end
 // fault-touched flows split into recovered (completed anyway) vs stalled.
 
@@ -27,11 +27,9 @@ class FaultRecorder : public NetworkObserver {
   // NetworkObserver: only fault-attributed events are recorded.
   void OnDrop(int node, const Packet& p, DropReason reason, Time at) override;
   void OnHostDeliver(HostId host, const Packet& p, Time at) override;
-
-  // FaultInjector hooks. "Applied" = something broke (down/crash/degrade);
-  // "repaired" = something healed (up/restart/restore).
-  void OnFaultApplied(Time at);
-  void OnFaultRepaired(Time at);
+  // A breakage (down/crash/degrade) counts as applied; a repair
+  // (up/restart/restore) counts as repaired and opens a recovery window.
+  void OnFaultEvent(bool breakage, Time at) override;
 
   // Scenario wiring: flow `id` ran to completion.
   void NoteFlowCompleted(FlowId id);

@@ -1,5 +1,6 @@
 // ProgressReporter line formatting: the healthy line stays short, degraded
-// statuses and retried/resumed counts appear only when nonzero.
+// statuses and retried/resumed counts appear only when nonzero, and the
+// final line carries the sweep's critical path.
 
 #include "src/exp/progress.h"
 
@@ -63,6 +64,38 @@ TEST(ProgressReporterTest, FullyDegradedLineCombinesEverything) {
   EXPECT_EQ(progress.ComposeLine(s, 12.0),
             "[sweep res] 4/4 done (ok 2, failed 1, crashed 1) [retried 1] "
             "[resumed 2] in 12.0s");
+}
+
+TEST(ProgressReporterTest, FinalLineReportsUtilisationAndLongestRun) {
+  ProgressReporter progress("fig11", 8, false);
+  SweepSummary s;
+  s.total = 8;
+  s.ok = 8;
+  s.workers = 4;
+  s.run_wall_ms = 4050;
+  s.longest_index = 7;
+  s.longest_wall_ms = 1030;
+  s.longest_points = {{"scheme", "dibs"}, {"degree", "100"}};
+  // Mid-sweep (wall_s unset) the critical path stays off the line.
+  EXPECT_EQ(progress.ComposeLine(s, 1.0), "[sweep fig11] 8/8 done in 1.0s");
+
+  s.wall_s = 1.25;  // util = 4.05 s / (4 workers x 1.25 s)
+  EXPECT_EQ(progress.ComposeLine(s, 1.25),
+            "[sweep fig11] 8/8 done in 1.2s, util 0.81, longest run 7 "
+            "(scheme=dibs degree=100) 1.03s");
+
+  s.longest_points.clear();
+  EXPECT_EQ(progress.ComposeLine(s, 1.25),
+            "[sweep fig11] 8/8 done in 1.2s, util 0.81, longest run 7 1.03s");
+
+  // Every row replayed from a journal: nothing executed, no longest run.
+  SweepSummary resumed;
+  resumed.total = 2;
+  resumed.ok = 2;
+  resumed.resumed = 2;
+  resumed.wall_s = 0.01;
+  EXPECT_EQ(progress.ComposeLine(resumed, 0.01),
+            "[sweep fig11] 2/8 done [resumed 2] in 0.0s, util 0.00");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Sweep engine contract tests: expansion order and derived seeds, result
 // determinism under parallelism (the acceptance bar for converting the
-// figure benches), ordered sink delivery, the failure-isolation paths
+// figure benches), ordered sink delivery, longest-first claim order and the
+// critical-path summary, the failure-isolation paths
 // (exception capture, event budget, wall-clock deadline), retry-with-
 // backoff, and journal-backed resume (byte-identical sink output across a
 // kill/resume boundary at any DIBS_JOBS).
@@ -449,6 +450,113 @@ TEST(SweepEngineTest, ResumeRefusesJournalFromDifferentSweep) {
   opts.resume = 1;
   EXPECT_THROW(SweepEngine(opts).Run(other), std::runtime_error);
   std::remove(journal.c_str());
+}
+
+// --- Claim order: descending offered load, ties in matrix order ---
+
+TEST(SweepEngineTest, ClaimsRunsInDescendingOfferedLoadTiesInMatrixOrder) {
+  // Background off: each run's offered load is its query term, which grows
+  // with the incast degree.
+  const std::vector<int> degrees = {4, 8, 8, 2, 16, 4};
+  std::vector<int> claimed;
+  std::vector<RunSpec> runs(degrees.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    runs[i].config.enable_background = false;
+    runs[i].config.incast_degree = degrees[i];
+    runs[i].runner = [&claimed](const ExperimentConfig& c) {
+      claimed.push_back(c.sweep_run_index);  // jobs=1: a single worker
+      return ScenarioResult{};
+    };
+  }
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.progress = false;
+  MemorySink sink;
+  SweepEngine(opts).RunAll("claim", std::move(runs), &sink);
+  EXPECT_EQ(claimed, (std::vector<int>{4, 1, 2, 0, 5, 3}));
+  ASSERT_EQ(sink.records().size(), degrees.size());
+  for (size_t i = 0; i < sink.records().size(); ++i) {
+    EXPECT_EQ(sink.records()[i].index, static_cast<int>(i));
+  }
+}
+
+// Claim order reorders execution only: at every job count and under process
+// isolation, records and the sink stream stay in matrix order and equal a
+// reference that runs the same configs one by one in matrix order.
+TEST(SweepEngineTest, ClaimOrderNeverReachesRecordsOrSinkStream) {
+  const std::vector<RunSpec> expanded = TinySweep().Expand();
+  // TinySweep's matrix runs degree 4 before degree 8; claims go 8 first.
+  ASSERT_GT(OfferedLoadBytes(expanded[1].config), OfferedLoadBytes(expanded[0].config));
+  std::vector<ScenarioResult> reference;
+  for (const RunSpec& run : expanded) {
+    reference.push_back(RunScenario(run.config));
+  }
+
+  struct Mode {
+    int jobs;
+    IsolationMode isolate;
+  };
+  std::string first_jsonl;
+  for (const Mode mode : {Mode{1, IsolationMode::kThread}, Mode{4, IsolationMode::kThread},
+                          Mode{4, IsolationMode::kProcess}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(mode.jobs) + " isolate=" +
+                 std::to_string(static_cast<int>(mode.isolate)));
+    std::ostringstream jsonl_os;
+    JsonlSink jsonl(jsonl_os);
+    MemorySink memory;
+    MultiSink multi({&jsonl, &memory});
+    SweepOptions opts;
+    opts.jobs = mode.jobs;
+    opts.isolate = mode.isolate;
+    opts.progress = false;
+    const std::vector<RunRecord> records = SweepEngine(opts).Run(TinySweep(), &multi);
+    ASSERT_EQ(records.size(), expanded.size());
+    ASSERT_EQ(memory.records().size(), expanded.size());
+    for (size_t i = 0; i < expanded.size(); ++i) {
+      EXPECT_EQ(records[i].index, static_cast<int>(i));
+      EXPECT_EQ(memory.records()[i].index, static_cast<int>(i));
+      EXPECT_EQ(records[i].points, expanded[i].points);
+      EXPECT_EQ(records[i].seed, expanded[i].config.seed);
+      EXPECT_EQ(records[i].status, RunStatus::kOk);
+      ExpectSameResult(records[i].result, reference[i]);
+    }
+    if (first_jsonl.empty()) {
+      first_jsonl = NormalizeJsonl(jsonl_os.str());
+    } else {
+      EXPECT_EQ(NormalizeJsonl(jsonl_os.str()), first_jsonl);
+    }
+  }
+}
+
+TEST(SweepEngineTest, SummaryReportsTheCriticalPath) {
+  const std::vector<int> sleep_ms = {5, 40, 5, 5};
+  std::vector<RunSpec> runs(sleep_ms.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    runs[i].points = {{"cell", std::to_string(i)}};
+    runs[i].runner = [ms = sleep_ms[i]](const ExperimentConfig&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      return ScenarioResult{};
+    };
+  }
+  SweepOptions opts;
+  opts.jobs = 2;
+  opts.progress = false;
+  SweepEngine engine(opts);
+  const std::vector<RunRecord> records = engine.RunAll("critical", std::move(runs));
+  const SweepSummary& s = engine.summary();
+  EXPECT_EQ(s.workers, 2u);
+  EXPECT_EQ(s.longest_index, 1);
+  EXPECT_EQ(s.longest_points, (std::vector<AxisPoint>{{"cell", "1"}}));
+  EXPECT_DOUBLE_EQ(s.longest_wall_ms, records[1].wall_ms);
+  double run_wall_ms = 0;
+  for (const RunRecord& r : records) {
+    run_wall_ms += r.wall_ms;
+  }
+  EXPECT_DOUBLE_EQ(s.run_wall_ms, run_wall_ms);
+  EXPECT_GE(s.wall_s * 1e3, s.longest_wall_ms);
+  // At most `workers` runs are ever in flight, each inside the sweep's span.
+  EXPECT_GT(s.WorkerUtil(), 0.0);
+  EXPECT_LE(s.WorkerUtil(), 1.0);
 }
 
 TEST(SweepEngineTest, ResolveJobsPrefersExplicitThenEnvThenHardware) {

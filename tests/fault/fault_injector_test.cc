@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/device/host_node.h"
@@ -110,7 +111,7 @@ TEST(FaultInjectorTest, CompilesPlanIntoScheduledEventsAndRecordsRecovery) {
 
   fault::FaultPlan plan;
   plan.LinkDown(0, Time::Micros(30)).LinkUp(0, Time::Micros(60));
-  fault::FaultInjector injector(&net, plan, &frec);
+  fault::FaultInjector injector(&net, plan);
   injector.Start();
   EXPECT_EQ(injector.events_scheduled(), 2u);
 
@@ -131,6 +132,41 @@ TEST(FaultInjectorTest, CompilesPlanIntoScheduledEventsAndRecordsRecovery) {
   EXPECT_GT(frec.recovery_ms()[0], 0.0);
   EXPECT_LT(frec.recovery_ms()[0], 1.0);  // ~36us repair-to-delivery
   EXPECT_DOUBLE_EQ(frec.MaxRecoveryMs(), frec.recovery_ms()[0]);
+}
+
+// Any observer hears each plan event exactly once, through the same channel
+// as the FaultRecorder — also degrade/restore (which has no link-state edge)
+// and a switch crash (one plan event, several OnLinkState edges).
+TEST(FaultInjectorTest, EveryPlanEventReachesObserversOnce) {
+  struct FaultLog : NetworkObserver {
+    void OnFaultEvent(bool breakage, Time at) override { events.push_back({breakage, at}); }
+    std::vector<std::pair<bool, Time>> events;
+  };
+  Simulator sim;
+  Network net(&sim, DiamondTopology(), NetworkConfig{});
+  FaultRecorder frec;
+  FaultLog log;
+  net.AddObserver(&frec);
+  net.AddObserver(&log);
+
+  fault::FaultPlan plan;
+  plan.LinkDown(1, Time::Micros(10))
+      .LinkUp(1, Time::Micros(20))
+      .DegradeLink(3, Time::Micros(30), 0.5, Time::Micros(2))
+      .RestoreLink(3, Time::Micros(40))
+      .SwitchCrash(/*node=*/1, Time::Micros(50))
+      .SwitchRestart(/*node=*/1, Time::Micros(60));
+  fault::FaultInjector injector(&net, plan);
+  injector.Start();
+  sim.Run();
+
+  const std::vector<std::pair<bool, Time>> expected = {
+      {true, Time::Micros(10)},  {false, Time::Micros(20)}, {true, Time::Micros(30)},
+      {false, Time::Micros(40)}, {true, Time::Micros(50)},  {false, Time::Micros(60)}};
+  EXPECT_EQ(log.events, expected);
+  EXPECT_EQ(injector.events_applied(), 6u);
+  EXPECT_EQ(frec.events_applied(), 3u);
+  EXPECT_EQ(frec.events_repaired(), 3u);
 }
 
 TEST(FaultModelTest, FibMasksDeadPortsAndEcmpRePicks) {
@@ -405,8 +441,8 @@ TEST(FaultRecorderTest, FlowsSplitIntoRecoveredAndStalled) {
   EXPECT_EQ(rec.FlowsRecovered(), 1u);  // flow 10
   EXPECT_EQ(rec.FlowsStalled(), 1u);    // flow 20
 
-  rec.OnFaultApplied(Time::Millis(1));
-  rec.OnFaultRepaired(Time::Millis(5));
+  rec.OnFaultEvent(/*breakage=*/true, Time::Millis(1));
+  rec.OnFaultEvent(/*breakage=*/false, Time::Millis(5));
   EXPECT_TRUE(rec.recovery_ms().empty());
   rec.OnHostDeliver(0, a, Time::Millis(7));
   ASSERT_EQ(rec.recovery_ms().size(), 1u);

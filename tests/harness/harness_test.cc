@@ -1,13 +1,16 @@
-// Harness-layer tests: scheme presets encode Table 1/2 correctly, the table
-// printer formats stably, and ScenarioResult fields are internally coherent.
+// Harness-layer tests: scheme presets encode Table 1/2 correctly, the
+// offered-load estimate tracks its inputs, the table printer formats stably,
+// and ScenarioResult fields are internally coherent.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "src/harness/config.h"
 #include "src/harness/scenario.h"
 #include "src/harness/table.h"
+#include "src/workload/distributions.h"
 
 namespace dibs {
 namespace {
@@ -58,6 +61,84 @@ TEST(ConfigPresetTest, PfabricPreset) {
   EXPECT_EQ(c.net.pfabric_buffer_packets, 24u);  // §5.8
   EXPECT_EQ(c.transport, TransportKind::kPfabric);
   EXPECT_EQ(c.pfabric.rto, Time::Micros(350));   // §5.8 for 1Gbps
+}
+
+// --- OfferedLoadBytes: the estimate the sweep engine orders claims by ---
+
+ExperimentConfig QueryOnly() {
+  ExperimentConfig c = DctcpConfig();
+  c.enable_background = false;
+  return c;
+}
+
+ExperimentConfig BackgroundOnly() {
+  ExperimentConfig c = DctcpConfig();
+  c.enable_query = false;
+  return c;
+}
+
+double LoadWith(ExperimentConfig c, const std::function<void(ExperimentConfig&)>& mutate) {
+  mutate(c);
+  return OfferedLoadBytes(c);
+}
+
+TEST(OfferedLoadTest, QueryTermIsMonotoneInRateDegreeSizeAndWindow) {
+  const ExperimentConfig base = QueryOnly();
+  const double load = OfferedLoadBytes(base);
+  EXPECT_DOUBLE_EQ(load, 300 * 1.0 * 40 * 20000.0);  // qps x s x degree x bytes
+  EXPECT_GT(LoadWith(base, [](ExperimentConfig& c) { c.qps = 600; }), load);
+  EXPECT_LT(LoadWith(base, [](ExperimentConfig& c) { c.qps = 100; }), load);
+  EXPECT_GT(LoadWith(base, [](ExperimentConfig& c) { c.incast_degree = 100; }), load);
+  EXPECT_LT(LoadWith(base, [](ExperimentConfig& c) { c.incast_degree = 10; }), load);
+  EXPECT_GT(LoadWith(base, [](ExperimentConfig& c) { c.response_bytes = 40000; }), load);
+  EXPECT_LT(LoadWith(base, [](ExperimentConfig& c) { c.response_bytes = 2000; }), load);
+  EXPECT_GT(LoadWith(base, [](ExperimentConfig& c) { c.duration = Time::Seconds(2); }), load);
+  EXPECT_LT(LoadWith(base, [](ExperimentConfig& c) { c.duration = Time::Millis(50); }), load);
+  // The drain window offers nothing new.
+  EXPECT_DOUBLE_EQ(LoadWith(base, [](ExperimentConfig& c) { c.drain = Time::Seconds(5); }),
+                   load);
+}
+
+TEST(OfferedLoadTest, BackgroundTermIsMonotoneInRateAndWindow) {
+  const ExperimentConfig base = BackgroundOnly();
+  const double load = OfferedLoadBytes(base);
+  // 128 hosts, one flow per host per 120 ms, over a 1 s window.
+  EXPECT_DOUBLE_EQ(load, 128 * 1.0 / 0.12 * WebSearchFlowSizes().Mean());
+  EXPECT_GT(LoadWith(base, [](ExperimentConfig& c) { c.bg_interarrival = Time::Millis(60); }),
+            load);
+  EXPECT_LT(LoadWith(base, [](ExperimentConfig& c) { c.bg_interarrival = Time::Millis(240); }),
+            load);
+  EXPECT_GT(LoadWith(base, [](ExperimentConfig& c) { c.duration = Time::Seconds(2); }), load);
+  EXPECT_GT(LoadWith(base, [](ExperimentConfig& c) { c.fat_tree_k = 16; }), load);
+  // Query knobs do not touch the background term.
+  EXPECT_DOUBLE_EQ(LoadWith(base, [](ExperimentConfig& c) { c.qps = 16000; }), load);
+}
+
+TEST(OfferedLoadTest, EachTermIsZeroWhenItsWorkloadIsOff) {
+  ExperimentConfig off = DctcpConfig();
+  off.enable_query = false;
+  off.enable_background = false;
+  EXPECT_EQ(OfferedLoadBytes(off), 0.0);
+  EXPECT_GT(OfferedLoadBytes(QueryOnly()), 0.0);
+  EXPECT_GT(OfferedLoadBytes(BackgroundOnly()), 0.0);
+  EXPECT_DOUBLE_EQ(OfferedLoadBytes(DctcpConfig()),
+                   OfferedLoadBytes(QueryOnly()) + OfferedLoadBytes(BackgroundOnly()));
+  ExperimentConfig empty_window = DctcpConfig();
+  empty_window.duration = Time::Zero();
+  EXPECT_EQ(OfferedLoadBytes(empty_window), 0.0);
+}
+
+TEST(OfferedLoadTest, BackgroundTermCountsTheHostsScenarioBuilds) {
+  for (const TopologyKind kind :
+       {TopologyKind::kFatTree, TopologyKind::kEmulabTestbed, TopologyKind::kLeafSpine,
+        TopologyKind::kLinear, TopologyKind::kJellyFish}) {
+    ExperimentConfig c = BackgroundOnly();
+    c.topology = kind;
+    c.bg_interarrival = Time::Seconds(1);  // one flow per host over the 1 s window
+    const double hosts = Scenario(c).network().num_hosts();
+    EXPECT_DOUBLE_EQ(OfferedLoadBytes(c), hosts * WebSearchFlowSizes().Mean())
+        << "topology kind " << static_cast<int>(kind);
+  }
 }
 
 TEST(TablePrinterTest, NumFormatting) {
